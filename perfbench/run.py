@@ -4,22 +4,26 @@
     python3 perfbench/run.py --all [--seed N] [--seconds S] [--out PATH]
     python3 perfbench/run.py --self-test
     python3 perfbench/run.py --write-reference
+    python3 perfbench/run.py --summarize FIRST-LAST [--out PATH]
 
 Run from the repository root.  Every timed repetition is a fresh interpreter
 running one `cli.main(argv)` call with numpy/BLAS pinned to one thread, so
-process-wide caches start empty as they do for a CLI user.  Repetitions run
-one after another until the next one would overrun --seconds (at least one
-runs).  With --trace 0 the last stdout line is a JSON object with the
-end-to-end metrics (medians over the repetitions); with --trace 1 untraced
-and traced repetitions alternate, and the traced ones give the per-layer
-metrics, the tracing overhead and the coverage.  Every output is checked against the references
-in perfbench/reference/; the exit code is 1 when a check fails.  A results
-file with the environment, samples and all layer figures is written to
-perfbench/out/.  See perfbench/README.md for the reasoning.
+process-wide caches start empty as they do for a CLI user.  A run lasts about
+--seconds: repetitions run one after another until the next one would
+overrun it (at least one runs), with set-up-only launches before, between
+and after them.  With --trace 0 the last stdout line is a JSON object with
+the end-to-end metrics (medians over the run); with --trace 1 only traced
+repetitions run, and they give the per-layer metrics, the estimated tracing
+overhead and the coverage.  Every
+output is checked against the references in perfbench/reference/; the exit
+code is 1 when a check fails.  A results file with the environment, samples
+and all layer figures is written to perfbench/out/; --summarize reduces the
+results files of a range of seeds to medians and spreads.  See perfbench/README.md for the reasoning.
 """
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -37,13 +41,16 @@ ROOT = HERE.parent
 SRC = ROOT / "src"
 OUT = HERE / "out"
 CHILD_TIMEOUT_S = 150
+# Set-up-only launches: SETUP_SAMPLES before the first repetition, one after
+# each, then more until the run's time is used, SETUP_MAX in all.
 SETUP_SAMPLES = 10
+SETUP_MAX = 80
 # Timed inputs never depend on --seed.  A scan's cost depends on how many of
 # its 100 random ideals are the maximal ideal (x,y,z), which costs about 30
-# times an average record: over seeds 1..20 the same CLI call took 1.0 to
-# 3.2 s, a spread no regression bound could absorb.  So every timed scan
-# uses seed 1 and --seed only picks the inputs of one further, untimed scan
-# that is checked like the timed ones.
+# times an average record: timed once per seed on a 2-vCPU Xeon VM, the same
+# CLI call took 0.92 to 3.39 s over seeds 1..12, a spread no regression bound
+# could absorb.  So every timed scan uses seed 1 and --seed only picks the
+# inputs of one further, untimed scan that is checked like the timed ones.
 TIMED_SEED = 1
 
 # Pins every numeric library to one thread and fixes hashing, so a
@@ -128,6 +135,7 @@ class Run:
         self.argv = self.argv_of(TIMED_SEED)
         self.attempted = self.failed = 0
         self.problems: list[str] = []
+        self.notes: list[str] = []
         self._verdicts: dict[str, object] = {}
         OUT.mkdir(exist_ok=True)
         self.out_path = OUT / f"{name}.out"
@@ -157,24 +165,23 @@ class Run:
         if self.seeded and self.seed != TIMED_SEED:
             self.rep("plain", self.seed)
 
-    def reps(self, modes: tuple[str, ...], budget_s: float) -> dict[str, list[dict]]:
-        """Cycle through modes until the next cycle would overrun budget_s.
+    def reps(self, mode: str, deadline: float, between=lambda: None) -> list[dict]:
+        """Repeat mode until the next repetition would end after deadline.
 
-        At least one cycle runs.  Crashed repetitions are tallied as failed
-        and left out of the returned reports.
+        At least one repetition runs; `between` is called after each one.
+        Crashed repetitions are tallied as failed and left out of the
+        returned reports.
         """
-        start = time.monotonic()
-        reports: dict[str, list[dict]] = {m: [] for m in modes}
-        took = []
+        reports, took = [], []
         while True:
             t0 = time.monotonic()
-            for mode in modes:
-                report = self.rep(mode)
-                if "crashed" not in report:
-                    reports[mode].append(report)
+            report = self.rep(mode)
+            if "crashed" not in report:
+                reports.append(report)
             took.append(time.monotonic() - t0)
-            if time.monotonic() - start + statistics.median(took) > budget_s:
-                if not all(reports.values()):
+            between()
+            if time.monotonic() + statistics.median(took) > deadline:
+                if not reports:
                     raise BenchError("; ".join(self.problems[-3:]))
                 return reports
 
@@ -184,14 +191,14 @@ class Run:
             raise BenchError(f"interpreter set-up failed: {report['crashed']}")
         return report["setup_s"]
 
-    def setup_samples(self) -> list[float]:
-        self.setup()  # warm-up: writes bytecode caches
-        return [self.setup() for _ in range(SETUP_SAMPLES)]
-
 
 def run_plain(run: Run) -> dict:
-    setups = run.setup_samples()
-    reports = run.reps(("plain",), run.seconds)["plain"]
+    deadline = time.monotonic() + run.seconds
+    run.setup()  # warm-up: writes bytecode caches
+    setups = [run.setup() for _ in range(SETUP_SAMPLES)]
+    reports = run.reps("plain", deadline, lambda: setups.append(run.setup()))
+    while len(setups) < SETUP_MAX and time.monotonic() + 2 * statistics.median(setups) < deadline:
+        setups.append(run.setup())
     run.verify_seed()
     samples = {
         "wall_s": [r["wall_s"] for r in reports],
@@ -206,32 +213,60 @@ def run_plain(run: Run) -> dict:
     }
 
 
-def run_traced(run: Run) -> dict:
-    start = time.monotonic()
-    run.setup()  # warm-up: writes bytecode caches
-    reports = run.reps(("plain", "trace"), run.seconds - (time.monotonic() - start))
-    plain_wall = statistics.median(r["wall_s"] for r in reports["plain"])
-    traced = reports["trace"]
-    run.verify_seed()
-    layers = [r["layers"] for r in traced]
-    exact = [n for n, v in layers[0].items() if isinstance(v, int)]  # counts, not times
-    for name in exact:
+def source_digest() -> str:
+    """SHA-256 over the package sources and the tracer: what the counts depend on."""
+    h = hashlib.sha256()
+    for path in sorted(SRC.rglob("*.py")) + [HERE / "tracer.py"]:
+        h.update(str(path.relative_to(ROOT)).encode())
+        h.update(path.read_bytes())
+    return h.hexdigest()
+
+
+def check_counts(run: Run, layers: list[dict], source: str) -> dict:
+    """Counts must repeat: across this run's repetitions and across earlier
+    correct results files of the same workload, sources and CLI call.
+
+    A difference from the counts recorded with the references is only a
+    note: a correct change may do less work.
+    """
+    counts = {n: v for n, v in layers[0].items() if isinstance(v, int)}
+    for name in counts:
         if len({lay[name] for lay in layers}) != 1:
             run.problems.append(f"count {name} differs between runs: {[lay[name] for lay in layers]}")
-    expected = checks.load_reference()["counts"][run.name]
-    for name, value in expected.items():
-        if layers[0][name] != value:
-            run.problems.append(f"count {name} is {layers[0][name]}, reference {value}")
+    for path in sorted(OUT.glob(f"{run.name}-seed*-trace1.json")):
+        try:
+            prior = json.loads(path.read_text(encoding="utf-8"))
+        except (OSError, ValueError):
+            continue
+        if prior.get("source") != source or prior.get("argv") != run.argv or not prior.get("correct"):
+            continue
+        for name, value in prior.get("counts", {}).items():
+            if counts.get(name) != value:
+                run.problems.append(f"count {name} is {counts.get(name)}, {value} in {path.name}")
+    for name, value in checks.load_reference()["counts"][run.name].items():
+        if counts[name] != value:
+            run.notes.append(f"count {name} is {counts[name]}, {value} when the references were recorded")
+    return counts
+
+
+def run_traced(run: Run) -> dict:
+    deadline = time.monotonic() + run.seconds
+    run.setup()  # warm-up: writes bytecode caches
+    reports = run.reps("trace", deadline)
+    run.verify_seed()
+    layers = [r["layers"] for r in reports]
+    source = source_digest()
+    counts = check_counts(run, layers, source)
     merged = {
-        name: (layers[0][name] if name in exact else statistics.median(lay[name] for lay in layers))
+        name: (counts[name] if name in counts else statistics.median(lay[name] for lay in layers))
         for name in layers[0]
     }
-    merged["trace.overhead_s"] = merged["trace.wall_s"] - plain_wall
     return {
         "metrics": {n: merged[n] for n in LAYER_METRICS},
         "layers": merged,
-        "plain_wall_s": plain_wall,
-        "traced_reps": len(traced),
+        "counts": counts,
+        "source": source,
+        "traced_reps": len(reports),
     }
 
 
@@ -253,18 +288,12 @@ def environment(seed: int) -> dict:
         env["cpu_model"] = models[0] if models else "unknown"
     except OSError:
         pass
-    head = ROOT / ".git" / "HEAD"
-    if head.is_file():
-        ref = head.read_text().strip()
-        if ref.startswith("ref: "):
-            ref_file = ROOT / ".git" / ref[5:]
-            packed = ROOT / ".git" / "packed-refs"
-            if ref_file.is_file():
-                ref = ref_file.read_text().strip()
-            elif packed.is_file():
-                ref = next((ln.split()[0] for ln in packed.read_text().splitlines()
-                            if ln.endswith(" " + ref[5:])), "unknown")
-        env["git_commit"] = ref
+    try:
+        git = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True, text=True)
+        if git.returncode == 0:
+            env["git_commit"] = git.stdout.strip()
+    except OSError:
+        pass
     return env
 
 
@@ -283,6 +312,7 @@ def measure(name: str, seed: int, seconds: float, trace: bool) -> dict:
         "failed": run.failed,
         "failed_frac": run.failed / run.attempted,
         "problems": run.problems[:20],
+        "notes": run.notes,
         **body,
     }
 
@@ -305,6 +335,8 @@ def cmd_workload(args) -> int:
     path.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
     for problem in result["problems"]:
         print(f"check: {problem}", file=sys.stderr)
+    for note in result["notes"]:
+        print(f"note: {note}", file=sys.stderr)
     units = LAYER_METRICS if args.trace else END_TO_END
     print(json.dumps({
         "correct": result["correct"],
@@ -333,11 +365,65 @@ def cmd_all(args) -> int:
               f"  overhead {traced['metrics']['trace.overhead_s']:.4f} s")
         for problem in plain["problems"] + traced["problems"]:
             print(f"  check: {problem}")
+        for note in traced["notes"]:
+            print(f"  note: {note}")
     out = Path(args.out) if args.out else OUT / f"all-seed{args.seed}.json"
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
     print(f"results written to {out}")
     return 0 if ok else 1
+
+
+def spread(values: list[float]) -> float:
+    """Interquartile range over the median (0 for fewer than two values or a zero median)."""
+    median = statistics.median(values)
+    if len(values) < 2 or median == 0:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return (q3 - q1) / median
+
+
+def cmd_summarize(args) -> int:
+    """Medians and spreads of the results files of a range of seeds."""
+    first, _, last = args.summarize.partition("-")
+    seeds = range(int(first), int(last or first) + 1)
+    summary = {"env": environment(seeds[0]), "seeds": [seeds[0], seeds[-1]], "workloads": {}}
+    ok = True
+    for name in WORKLOAD_NAMES:
+        for trace, units in ((0, END_TO_END), (1, LAYER_METRICS)):
+            paths = [OUT / f"{name}-seed{s}-trace{trace}.json" for s in seeds]
+            results = [json.loads(p.read_text(encoding="utf-8")) for p in paths if p.is_file()]
+            if not results:
+                continue
+            ok = ok and all(r["correct"] for r in results)
+            metrics = {}
+            for metric in units:
+                values = [r["metrics"][metric] for r in results]
+                metrics[metric] = {"median": statistics.median(values), "spread": spread(values),
+                                   "unit": units[metric]}
+            summary["workloads"].setdefault(name, {})[f"trace{trace}"] = {
+                "runs": len(results),
+                "correct": all(r["correct"] for r in results),
+                "seeds": [r["seed"] for r in results],
+                "metrics": metrics,
+            }
+            if trace == 0:
+                summary["workloads"][name]["trace0"]["wall_s_sample_median"] = statistics.median(
+                    r["timings"]["wall_s"]["median"] for r in results)
+                print(f"{name}  ({len(results)} runs)")
+                for metric, m in metrics.items():
+                    print(f"  {metric:<14} {m['median']:10.4f} {m['unit']:<4} spread {m['spread']:.3f}")
+    for name, sets in summary["workloads"].items():
+        if "trace0" in sets and "trace1" in sets:
+            # Tracing overhead as traced minus untraced wall time: medians of
+            # each run's samples, then the median over runs.
+            sets["traced_minus_plain_wall_s"] = (
+                sets["trace1"]["metrics"]["trace.wall_s"]["median"]
+                - sets["trace0"]["wall_s_sample_median"])
+    if args.out:
+        Path(args.out).write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+        print(f"summary written to {args.out}")
+    return 0 if ok and summary["workloads"] else 1
 
 
 def cmd_self_test(args) -> int:
@@ -421,10 +507,12 @@ def main(argv=None) -> int:
     mode.add_argument("--all", action="store_true", help="every workload, plain and traced")
     mode.add_argument("--self-test", action="store_true", help="checks flag corrupted outputs")
     mode.add_argument("--write-reference", action="store_true")
+    mode.add_argument("--summarize", metavar="FIRST-LAST",
+                      help="medians and spreads of the results files of these seeds")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=28.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--out", default=None, help="results path for --all")
+    parser.add_argument("--out", default=None, help="results path for --all and --summarize")
     args = parser.parse_args(argv)
     try:
         preflight(with_reference=not args.write_reference)
@@ -434,6 +522,8 @@ def main(argv=None) -> int:
             return cmd_all(args)
         if args.self_test:
             return cmd_self_test(args)
+        if args.summarize:
+            return cmd_summarize(args)
         return cmd_write_reference(args)
     except (BenchError, subprocess.TimeoutExpired) as exc:
         print(f"perfbench: {exc}", file=sys.stderr)

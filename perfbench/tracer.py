@@ -5,7 +5,9 @@ it up: in the module that imported it by name, or in its own module when it
 is called as a module global.  A wrapper records one span (name, parent
 span, start, end) per call and, for some layers, a count taken from the
 arguments or the result.  Spans stay in memory; `Tracer.metrics` reduces
-them to the per-layer metrics the benchmark reports.
+them to the per-layer metrics the benchmark reports.  The tracing overhead
+is estimated in the same process: the time a wrapper adds to an empty call,
+times the number of spans.
 """
 from __future__ import annotations
 
@@ -16,6 +18,7 @@ from time import perf_counter
 
 PACKAGE = "bettipowers"
 ROOT = -1
+OVERHEAD_CALLS = 20000  # calls per timing of an empty function, wrapped and bare
 
 
 def _points(counts, args, result):
@@ -160,6 +163,25 @@ class Tracer:
             if attr == "_homology_dims_cached":
                 self._homology = original
 
+    def span_cost(self) -> float:
+        """Seconds a wrapper adds to one call of an empty function (best of 3)."""
+
+        def empty():
+            return None
+
+        wrapped = Tracer()._wrap("empty", empty, None)
+
+        def best(fn) -> float:
+            times = []
+            for _ in range(3):
+                start = perf_counter()
+                for _ in range(OVERHEAD_CALLS):
+                    fn()
+                times.append(perf_counter() - start)
+            return min(times)
+
+        return max(0.0, (best(wrapped) - best(empty)) / OVERHEAD_CALLS)
+
     def metrics(self, wall_s: float) -> dict[str, float]:
         """Reduce the spans of one traced CLI call lasting wall_s seconds."""
         total: dict[str, float] = defaultdict(float)
@@ -198,6 +220,7 @@ class Tracer:
                 "cli.other.self_s": wall_s - top,
                 "trace.wall_s": wall_s,
                 "trace.coverage": top / wall_s,
+                "trace.overhead_s": self.span_cost() * len(self.spans),
                 "spectra.residual.max": 0.0,
                 "resolution_engine.lcm_lattice.points": 0,
                 "resolution_engine.rank.cells": 0,
