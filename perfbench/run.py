@@ -11,8 +11,12 @@ running one `cli.main(argv)` call with numpy/BLAS pinned to one thread, so
 process-wide caches start empty as they do for a CLI user.  A run lasts about
 --seconds: repetitions run one after another until the next one would
 overrun it (at least one runs), with set-up-only launches before, between
-and after them.  With --trace 0 the last stdout line is a JSON object with
-the end-to-end metrics (medians over the run); with --trace 1 only traced
+and after them.  The end-to-end times are scaled to a reference machine
+speed by timing the fixed reference work of calibrate.py in the same process
+and over the same interval; the results file keeps them as measured too.
+Per-layer times are as measured.
+With --trace 0 the last stdout line is a JSON object with the end-to-end
+metrics (medians over the run); with --trace 1 only traced
 repetitions run, and they give the per-layer metrics, the estimated tracing
 overhead and the coverage.  Every
 output is checked against the references in perfbench/reference/; the exit
@@ -34,6 +38,7 @@ import time
 from pathlib import Path
 
 import checks
+from calibrate import CAL_REF_S, PROBE_REF_S
 from tracer import EXACT_COUNTS, LAYER_METRICS
 
 HERE = Path(__file__).resolve().parent
@@ -43,8 +48,8 @@ OUT = HERE / "out"
 CHILD_TIMEOUT_S = 150
 # Set-up-only launches: SETUP_SAMPLES before the first repetition, one after
 # each, then more until the run's time is used, SETUP_MAX in all.
-SETUP_SAMPLES = 10
-SETUP_MAX = 80
+SETUP_SAMPLES = 4
+SETUP_MAX = 60
 # Timed inputs never depend on --seed.  A scan's cost depends on how many of
 # its 100 random ideals are the maximal ideal (x,y,z), which costs about 30
 # times an average record: timed once per seed on a 2-vCPU Xeon VM, the same
@@ -136,6 +141,7 @@ class Run:
         self.attempted = self.failed = 0
         self.problems: list[str] = []
         self.notes: list[str] = []
+        self.check_s = 0.0  # time spent checking distinct outputs
         self._verdicts: dict[str, object] = {}
         OUT.mkdir(exist_ok=True)
         self.out_path = OUT / f"{name}.out"
@@ -157,7 +163,9 @@ class Run:
     def _checked(self, text: str, seed: int):
         key = (checks.digest(text), seed)
         if key not in self._verdicts:
+            t0 = time.monotonic()
             self._verdicts[key] = self.check(text, seed)
+            self.check_s += time.monotonic() - t0
         return self._verdicts[key]
 
     def verify_seed(self) -> None:
@@ -174,22 +182,27 @@ class Run:
         """
         reports, took = [], []
         while True:
-            t0 = time.monotonic()
+            t0, checked = time.monotonic(), self.check_s
             report = self.rep(mode)
             if "crashed" not in report:
                 reports.append(report)
-            took.append(time.monotonic() - t0)
             between()
+            # A distinct output is checked once: the next repetition of the
+            # same output costs its launch alone.
+            took.append(time.monotonic() - t0 - (self.check_s - checked))
             if time.monotonic() + statistics.median(took) > deadline:
                 if not reports:
                     raise BenchError("; ".join(self.problems[-3:]))
                 return reports
 
-    def setup(self) -> float:
+    def setup(self) -> dict:
+        """One set-up-only launch: its set-up time, calibration and duration."""
+        t0 = time.monotonic()
         report = launch("setup", [], self.out_path)
         if "crashed" in report:
             raise BenchError(f"interpreter set-up failed: {report['crashed']}")
-        return report["setup_s"]
+        report["took_s"] = time.monotonic() - t0
+        return report
 
 
 def run_plain(run: Run) -> dict:
@@ -197,19 +210,31 @@ def run_plain(run: Run) -> dict:
     run.setup()  # warm-up: writes bytecode caches
     setups = [run.setup() for _ in range(SETUP_SAMPLES)]
     reports = run.reps("plain", deadline, lambda: setups.append(run.setup()))
-    while len(setups) < SETUP_MAX and time.monotonic() + 2 * statistics.median(setups) < deadline:
+    took = statistics.median(s["took_s"] for s in setups)
+    while len(setups) < SETUP_MAX and time.monotonic() + 2 * took < deadline:
         setups.append(run.setup())
     run.verify_seed()
-    samples = {
+    raw = {
         "wall_s": [r["wall_s"] for r in reports],
         "cpu_s": [r["cpu_s"] for r in reports],
-        "setup_s": setups + [r["setup_s"] for r in reports],
+        "setup_s": [s["setup_s"] for s in setups],
+        "cal_s": [s["cal_s"] for s in setups],
+        "probe_s": [r["probe_s"] for r in reports],
+        "probe_cpu_s": [r["probe_cpu_s"] for r in reports],
+    }
+    # Scaled to the reference speed (see calibrate.py).
+    samples = {
+        "wall_s": [r["wall_s"] * PROBE_REF_S / r["probe_s"] for r in reports],
+        "cpu_s": [r["cpu_s"] * PROBE_REF_S / r["probe_cpu_s"] for r in reports],
+        "setup_s": [s["setup_s"] * CAL_REF_S / s["cal_s"] for s in setups],
         "peak_rss_mib": [r["peak_rss_mib"] for r in reports],
     }
     return {
         "metrics": {m: statistics.median(v) for m, v in samples.items()},
         "timings": {m: summarize(v) for m, v in samples.items()},
         "samples": samples,
+        "raw_metrics": {m: statistics.median(v) for m, v in raw.items()},
+        "raw_samples": raw,
     }
 
 
@@ -360,6 +385,8 @@ def cmd_all(args) -> int:
             t = plain["timings"][metric]
             tail = f"  p{t['tail_pct']} {t['tail']:.4f}" if t["tail_pct"] else ""
             print(f"  {metric:<14} {t['median']:10.4f} {unit:<4} n={t['n']}{tail}")
+        print(f"  {'raw wall_s':<14} {plain['raw_metrics']['wall_s']:10.4f} s     (as measured;"
+              f" calibration {plain['raw_metrics']['cal_s']:.4f} s)")
         print(f"  {'failed_frac':<14} {plain['failed_frac']:10.4f} ratio")
         print(f"  {'trace.coverage':<14} {traced['metrics']['trace.coverage']:10.4f} ratio"
               f"  overhead {traced['metrics']['trace.overhead_s']:.4f} s")
@@ -408,18 +435,18 @@ def cmd_summarize(args) -> int:
                 "metrics": metrics,
             }
             if trace == 0:
-                summary["workloads"][name]["trace0"]["wall_s_sample_median"] = statistics.median(
-                    r["timings"]["wall_s"]["median"] for r in results)
+                summary["workloads"][name]["trace0"]["raw_wall_s"] = statistics.median(
+                    r["raw_metrics"]["wall_s"] for r in results)
                 print(f"{name}  ({len(results)} runs)")
                 for metric, m in metrics.items():
                     print(f"  {metric:<14} {m['median']:10.4f} {m['unit']:<4} spread {m['spread']:.3f}")
     for name, sets in summary["workloads"].items():
         if "trace0" in sets and "trace1" in sets:
-            # Tracing overhead as traced minus untraced wall time: medians of
-            # each run's samples, then the median over runs.
+            # Tracing overhead as traced minus untraced wall time, both as
+            # measured (not scaled): medians over the runs.
             sets["traced_minus_plain_wall_s"] = (
                 sets["trace1"]["metrics"]["trace.wall_s"]["median"]
-                - sets["trace0"]["wall_s_sample_median"])
+                - sets["trace0"]["raw_wall_s"])
     if args.out:
         Path(args.out).write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
         print(f"summary written to {args.out}")
