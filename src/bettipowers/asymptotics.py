@@ -8,14 +8,16 @@ result, never an exception.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .monomial_core import MonomialIdeal, power
+from .monomial_core import MonomialIdeal, product
+from .monomial_core import power  # unused here, but perfbench/tracer.py wraps it here
 from .polynomials import RationalPolynomial, fraction_str
-from .resolution_engine import RATIONALS, CoefficientField, betti_table
+from .resolution_engine import RATIONALS, BettiTable, CoefficientField, betti_table
 
 DEFAULT_GUARD = 3
 
@@ -31,12 +33,13 @@ class ProfileInvariantError(RuntimeError):
 
 @dataclass(frozen=True)
 class BettiSeries:
-    """Betti totals of S/I^k for k = 1..kmax over one field."""
+    """Betti totals of S/I^k for k = 1..kmax, and the full Betti table of S/I."""
 
     ideal: MonomialIdeal
     field: CoefficientField
     kmax: int
     rows: tuple[tuple[int, ...], ...]
+    table: BettiTable
 
     @property
     def nvars(self) -> int:
@@ -92,12 +95,16 @@ def betti_series(
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
     rows = []
-    for k in range(1, kmax + 1):
+    powers = itertools.accumulate(itertools.repeat(I, kmax), product)
+    for k, ideal_k in enumerate(powers, start=1):
         try:
-            rows.append(betti_table(power(I, k), F).totals)
+            table = betti_table(ideal_k, F)
         except Exception as exc:
             raise type(exc)(f"power k={k}: {exc}") from exc
-    return BettiSeries(I, F, kmax, tuple(rows))
+        if k == 1:
+            first = table
+        rows.append(table.totals)
+    return BettiSeries(I, F, kmax, tuple(rows), first)
 
 
 FitResult = Union[tuple[RationalPolynomial, int], NotStabilized]

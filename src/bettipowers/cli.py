@@ -59,6 +59,17 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
+def _field(text: str) -> CoefficientField:
+    try:
+        return CoefficientField.parse(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
+def _fields(text: str) -> list[CoefficientField]:
+    return [_field(s.strip()) for s in text.split(",")]
+
+
 def _load_ideal(path: str) -> MonomialIdeal:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_ideal(fh.read())
@@ -74,29 +85,26 @@ def _write_output(text: str, path: Optional[str]) -> None:
 
 def cmd_betti(args) -> int:
     ideal = _load_ideal(args.ideal)
-    field = CoefficientField.parse(args.field)
-    table = betti_table(power(ideal, args.power), field)
+    table = betti_table(power(ideal, args.power), args.field)
     sys.stdout.write(table.to_csv())
     return 0
 
 
 def cmd_profile(args) -> int:
     ideal = _load_ideal(args.ideal)
-    field = CoefficientField.parse(args.field)
     kmax = args.kmax if args.kmax is not None else default_kmax(ideal)
-    series = betti_series(ideal, kmax, field)
+    series = betti_series(ideal, kmax, args.field)
     result = kodiyalam_profile(series, guard=args.guard)
     out = {
         "ideal": str(ideal),
-        "field": str(field),
+        "field": str(args.field),
         "kmax": kmax,
         "guard": args.guard,
         "profile": profile_to_json(result),
         "verdicts": None,
     }
     if isinstance(result, KodiyalamProfile):
-        table = betti_table(ideal, field)
-        out["verdicts"] = full_report(ideal, table, series, result).to_json()
+        out["verdicts"] = full_report(series, result).to_json()
     sys.stdout.write(json.dumps(out, indent=2, sort_keys=True) + "\n")
     return 0
 
@@ -134,7 +142,7 @@ def cmd_scan(args) -> int:
         artinian=args.artinian,
         kmax=args.kmax,
         guard=args.guard,
-        field=CoefficientField.parse(args.field),
+        field=args.field,
     )
     if args.out is None:
         write_jsonl(run_scan(params), sys.stdout, include_timing=args.timing)
@@ -147,9 +155,7 @@ def cmd_scan(args) -> int:
 
 def cmd_oracle_check(args) -> int:
     ideal = _load_ideal(args.ideal)
-    fields = [CoefficientField.parse(s.strip()) for s in args.fields.split(",")]
-    if not fields:
-        raise UsageError("--fields must list at least one field")
+    fields = args.fields
     results: dict[str, list[dict]] = {}
     koszul_rows: dict[tuple[str, int], list[int]] = {}
     mismatch = False
@@ -210,7 +216,7 @@ def build_parser() -> _Parser:
     p_betti = sub.add_parser("betti", help="multigraded Betti table of one power")
     p_betti.add_argument("ideal", help="path to an ideal description file")
     p_betti.add_argument("--power", type=_positive_int, default=1, metavar="K")
-    p_betti.add_argument("--field", default="q", help='"q" or a prime p')
+    p_betti.add_argument("--field", type=_field, default="q", help='"q" or a prime p')
     p_betti.set_defaults(handler=cmd_betti)
 
     p_prof = sub.add_parser(
@@ -219,7 +225,7 @@ def build_parser() -> _Parser:
     p_prof.add_argument("ideal")
     p_prof.add_argument("--kmax", type=_positive_int, default=None)
     p_prof.add_argument("--guard", type=_positive_int, default=3)
-    p_prof.add_argument("--field", default="q")
+    p_prof.add_argument("--field", type=_field, default="q")
     p_prof.set_defaults(handler=cmd_profile)
 
     p_roots = sub.add_parser(
@@ -251,7 +257,7 @@ def build_parser() -> _Parser:
     p_scan.add_argument("--artinian", action="store_true")
     p_scan.add_argument("--kmax", type=_positive_int, default=None)
     p_scan.add_argument("--guard", type=_positive_int, default=3)
-    p_scan.add_argument("--field", default="q")
+    p_scan.add_argument("--field", type=_field, default="q")
     p_scan.add_argument("--out", default=None, help="JSONL path (default stdout)")
     p_scan.add_argument(
         "--timing",
@@ -265,7 +271,9 @@ def build_parser() -> _Parser:
     )
     p_oracle.add_argument("ideal")
     p_oracle.add_argument("--kmax", type=_positive_int, default=1)
-    p_oracle.add_argument("--fields", default="q,2", help="comma-separated: q and/or primes")
+    p_oracle.add_argument(
+        "--fields", type=_fields, default="q,2", help="comma-separated: q and/or primes"
+    )
     p_oracle.set_defaults(handler=cmd_oracle_check)
     return parser
 

@@ -6,6 +6,7 @@ All operations are pure functions on immutable data.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass
@@ -189,17 +190,10 @@ def parse_ideal(text: str) -> MonomialIdeal:
 
 
 def power(I: MonomialIdeal, k: int) -> MonomialIdeal:
-    """The k-th power, generated by all products of k generators (k >= 1)."""
+    """The k-th power I*I*...*I (k >= 1), built one product at a time."""
     if k < 1:
         raise ValueError("power requires k >= 1; the unit ideal I^0 is out of scope")
-    if k == 1:
-        return I
-    n = I.nvars
-    prods = {
-        tuple(sum(g[j] for g in combo) for j in range(n))
-        for combo in itertools.combinations_with_replacement(I.generators, k)
-    }
-    return MonomialIdeal(I.variables, minimalize(prods))
+    return functools.reduce(product, itertools.repeat(I, k - 1), I)
 
 
 def product(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:

@@ -30,6 +30,21 @@ class EngineInvariantError(RuntimeError):
     """An internal consistency check on computed Betti data failed."""
 
 
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin test; these bases decide every p < 3.3e24."""
+    if p < 2 or any(p % b == 0 for b in _MILLER_RABIN_BASES):
+        return p in _MILLER_RABIN_BASES
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d * 2^s with d odd
+    d = (p - 1) >> s
+    return not any(
+        pow(b, d, p) != 1 and all(pow(b, d << r, p) != p - 1 for r in range(s))
+        for b in _MILLER_RABIN_BASES
+    )
+
+
 @dataclass(frozen=True)
 class CoefficientField:
     """Coefficient field: the rationals (characteristic 0) or a prime field F_p."""
@@ -40,7 +55,9 @@ class CoefficientField:
         p = self.characteristic
         if p == 0:
             return
-        if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+        if p >= 1 << 64:
+            raise ValueError(f"characteristic must be below 2^64, got {p}")
+        if not _is_prime(p):
             raise ValueError(f"characteristic must be 0 or a prime, got {p}")
 
     @property
@@ -178,18 +195,6 @@ class SimplicialComplex:
             return False
         return any(mask & M == mask for M in self.maximal_faces)
 
-    def all_faces(self) -> list[int]:
-        """Every face as a bitmask, including the empty face when nonempty."""
-        faces: set[int] = set()
-        for M in self.maximal_faces:
-            sub = M
-            while True:
-                faces.add(sub)
-                if sub == 0:
-                    break
-                sub = (sub - 1) & M
-        return sorted(faces)
-
 
 @lru_cache(maxsize=None)
 def _homology_dims_cached(
@@ -198,32 +203,24 @@ def _homology_dims_cached(
     # Reduced homology dims indexed by j+1 for j = -1..n-1.  The augmentation
     # C_{-1} = K is always present, so the void complex has H~_{-1} = K.
     F = CoefficientField(characteristic)
-    faces_by_dim: dict[int, list[int]] = {}
-    if maximal_faces:
-        all_faces: set[int] = set()
-        for M in maximal_faces:
-            sub = M
-            while True:
-                all_faces.add(sub)
-                if sub == 0:
-                    break
-                sub = (sub - 1) & M
-        for f in all_faces:
-            faces_by_dim.setdefault(bin(f).count("1") - 1, []).append(f)
-        for fs in faces_by_dim.values():
-            fs.sort()
-    counts = {j: len(faces_by_dim.get(j, [])) for j in range(0, n)}
-    counts[-1] = 1  # augmentation
-    index = {j: {f: i for i, f in enumerate(fs)} for j, fs in faces_by_dim.items()}
-    ranks: dict[int, int] = {}
-    # boundary of a 0-face is the empty face
-    ranks[0] = 1 if faces_by_dim.get(0) else 0
+    faces: set[int] = set()
+    for M in maximal_faces:
+        sub = M
+        while sub:  # every nonempty face below M
+            faces.add(sub)
+            sub = (sub - 1) & M
+    faces_by_dim: list[list[int]] = [[] for _ in range(n)]
+    for f in sorted(faces):
+        faces_by_dim[bin(f).count("1") - 1].append(f)
+    # rank[j+1] is the rank of the boundary map out of C_j for j = -1..n: a
+    # vertex maps onto the empty face, and C_{-1} and C_n map to zero.
+    rank = [0] * (n + 2)
+    rank[1] = 1 if faces else 0
     for j in range(1, n):
-        upper = faces_by_dim.get(j, [])
-        lower = index.get(j - 1, {})
+        upper = faces_by_dim[j]
         if not upper:
-            ranks[j] = 0
-            continue
+            break
+        lower = {f: i for i, f in enumerate(faces_by_dim[j - 1])}
         mat = [[0] * len(upper) for _ in lower]
         for ci, f in enumerate(upper):
             sign = 1
@@ -232,14 +229,9 @@ def _homology_dims_cached(
                 if f & bit:
                     mat[lower[f ^ bit]][ci] = sign
                     sign = -sign
-        ranks[j] = rank_over(mat, len(upper), F)
-    dims = []
-    for j in range(-1, n):
-        if counts.get(j, 0) == 0:
-            dims.append(0)
-        else:
-            dims.append(counts[j] - ranks.get(j, 0) - ranks.get(j + 1, 0))
-    return tuple(dims)
+        rank[j + 1] = rank_over(mat, len(upper), F)
+    counts = [1] + [len(fs) for fs in faces_by_dim]
+    return tuple(counts[i] - rank[i] - rank[i + 1] for i in range(n + 1))
 
 
 def reduced_homology_dims(C: SimplicialComplex, F: CoefficientField) -> tuple[int, ...]:
@@ -288,11 +280,16 @@ def upper_koszul_complex(I: MonomialIdeal, a: Sequence[int]) -> SimplicialComple
     a = tuple(a)
     if len(a) != I.nvars or any(e < 0 for e in a):
         raise ValueError("multidegree must be a non-negative vector of full length")
-    masks = []
-    for g in I.generators:
-        if all(x <= y for x, y in zip(g, a)):
-            masks.append(sum(1 << j for j in range(I.nvars) if g[j] < a[j]))
-    return SimplicialComplex(I.nvars, _maximal_masks(masks))
+    G = np.array(I.generators, dtype=np.int64)
+    return SimplicialComplex(I.nvars, _upper_koszul_faces(G, a))
+
+
+def _upper_koszul_faces(G: np.ndarray, a: Sequence[int]) -> tuple[int, ...]:
+    # Maximal faces of the upper Koszul complex at a; the rows of G are the generators.
+    av = np.array(a, dtype=np.int64)
+    covered = (G <= av).all(axis=1)
+    masks = (G[covered] < av) @ (1 << np.arange(len(av), dtype=np.int64))
+    return _maximal_masks(int(m) for m in masks)
 
 
 @dataclass(frozen=True)
@@ -329,16 +326,12 @@ def betti_table(
     n = I.nvars
     lattice = lcm_lattice(I, max_size=lattice_cap)
     G = np.array(I.generators, dtype=np.int64)
-    pow2 = (1 << np.arange(n)).astype(np.int64)
     entries: dict[tuple[int, ExponentVector], int] = {(0, (0,) * n): 1}
     totals = [0] * (n + 1)
     totals[0] = 1
     char = F.characteristic
     for a in lattice:
-        av = np.array(a, dtype=np.int64)
-        covered = (G <= av).all(axis=1)
-        masks = ((G[covered] < av) * pow2).sum(axis=1)
-        maximal = _maximal_masks(int(m) for m in masks)
+        maximal = _upper_koszul_faces(G, a)
         if len(maximal) == 1 and maximal[0] != 0:
             continue  # a single full simplex is contractible
         dims = _homology_dims_cached(n, maximal, char)

@@ -16,14 +16,20 @@ from typing import Iterator, Optional, TextIO
 
 from .asymptotics import (
     KodiyalamProfile,
-    NotStabilized,
     ProfileInvariantError,
     betti_series,
+    default_kmax,
     kodiyalam_profile,
     profile_to_json,
 )
 from .monomial_core import MonomialIdeal
-from .resolution_engine import RATIONALS, CoefficientField, betti_table
+from .resolution_engine import (
+    RATIONALS,
+    CoefficientField,
+    EngineInvariantError,
+    ResourceLimitError,
+    betti_table,  # unused here, but perfbench/tracer.py wraps it here
+)
 from .verdicts import FAILS, VerdictReport, full_report
 
 RECORD_SEED_STRIDE = 1_000_003
@@ -103,15 +109,24 @@ def random_ideal(rng: random.Random, params: ScanParameters) -> MonomialIdeal:
     )
 
 
-def _finding(kind: str, index: int, seed: int, detail: dict) -> dict:
-    return {"type": "finding", "kind": kind, "index": index, "seed": seed, **detail}
+def _finding(kind: str, record: ScanRecord, **detail) -> dict:
+    # The generators make every finding replayable without its record.
+    generators = [list(g) for g in record.generators]
+    return {
+        "type": "finding",
+        "kind": kind,
+        "index": record.index,
+        "seed": record.seed,
+        "generators": generators,
+        **detail,
+    }
 
 
 def scan_record(params: ScanParameters, index: int) -> ScanRecord:
     """Compute one fully deterministic record for (params.seed, index)."""
     rng = random.Random(params.seed * RECORD_SEED_STRIDE + index)
     ideal = random_ideal(rng, params)
-    kmax = params.kmax if params.kmax is not None else ideal.nvars + 6
+    kmax = params.kmax if params.kmax is not None else default_kmax(ideal)
     record = ScanRecord(
         index=index,
         seed=params.seed,
@@ -127,44 +142,29 @@ def scan_record(params: ScanParameters, index: int) -> ScanRecord:
         result = kodiyalam_profile(series, guard=params.guard)
         record.profile = profile_to_json(result)
         if isinstance(result, KodiyalamProfile):
-            table = betti_table(ideal, params.field)
-            report = full_report(ideal, table, series, result)
+            report = full_report(series, result)
             record.verdicts = report.statuses()
             record.findings.extend(_report_findings(report, record))
     except ProfileInvariantError as exc:
         record.profile = {"status": "invariant-error", "message": str(exc)}
-        record.findings.append(
-            _finding(
-                "invariant-violation",
-                index,
-                params.seed,
-                {"message": str(exc), "generators": [list(g) for g in ideal.generators]},
-            )
-        )
+        record.findings.append(_finding("invariant-violation", record, message=str(exc)))
+    except ResourceLimitError as exc:
+        record.profile = {"status": "resource-limit", "error": str(exc)}
     except Exception as exc:
         record.profile = {"status": "error", "error": f"{type(exc).__name__}: {exc}"}
+        if isinstance(exc, EngineInvariantError):
+            record.findings.append(_finding("engine-invariant", record, message=str(exc)))
     record.timing = time.perf_counter() - start
     return record
 
 
 def _report_findings(report: VerdictReport, record: ScanRecord) -> list[dict]:
     # A failed statement on a random ideal is a reportable counterexample.
-    out = []
-    for entry in report.entries:
-        if entry.status == FAILS:
-            out.append(
-                _finding(
-                    f"{entry.statement}-violation",
-                    record.index,
-                    record.seed,
-                    {
-                        "statement": entry.statement,
-                        "witness": entry.witness,
-                        "generators": [list(g) for g in record.generators],
-                    },
-                )
-            )
-    return out
+    return [
+        _finding(f"{e.statement}-violation", record, statement=e.statement, witness=e.witness)
+        for e in report.entries
+        if e.status == FAILS
+    ]
 
 
 def run_scan(params: ScanParameters) -> Iterator[ScanRecord]:

@@ -234,14 +234,10 @@ def corollary_last_check(
     return VerdictEntry(LOG_CONCAVITY, status, witness)
 
 
-def full_report(
-    ideal: MonomialIdeal,
-    table: BettiTable,
-    series: BettiSeries,
-    profile: KodiyalamProfile,
-) -> VerdictReport:
-    """All statement verdicts for one ideal, from its k=1 table and profile."""
-    satisfied = corollary_satisfied_check(ideal, table, profile)
+def full_report(series: BettiSeries, profile: KodiyalamProfile) -> VerdictReport:
+    """All statement verdicts for series.ideal, from its series and profile."""
+    ideal = series.ideal
+    satisfied = corollary_satisfied_check(ideal, series.table, profile)
     entries = (
         conjecture_check(profile),
         satisfied,

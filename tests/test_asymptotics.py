@@ -18,7 +18,7 @@ from bettipowers.asymptotics import (
 )
 from bettipowers.corpus import fixture_ideal
 from bettipowers.polynomials import RationalPolynomial
-from bettipowers.resolution_engine import RATIONALS
+from bettipowers.resolution_engine import RATIONALS, betti_table
 
 QUADRATIC = RationalPolynomial.from_coefficients([-7, 4, 3])
 
@@ -131,7 +131,8 @@ def _series_from_columns(nvars, columns, kmax):
     rows = tuple(
         tuple(columns[i](k) for i in range(nvars + 1)) for k in range(1, kmax + 1)
     )
-    return BettiSeries(fixture_ideal("maximal2"), RATIONALS, kmax, rows)
+    ideal = fixture_ideal("maximal2")
+    return BettiSeries(ideal, RATIONALS, kmax, rows, betti_table(ideal))
 
 
 def test_invariant_error_on_bad_constant_column():

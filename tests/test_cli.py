@@ -187,7 +187,15 @@ def test_usage_errors_exit_one(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 1
-    capsys.readouterr()
+    for argv in (
+        ["betti", _fixture("maximal2"), "--field", "zz"],
+        ["profile", _fixture("maximal2"), "--field", "4"],
+        ["oracle-check", _fixture("maximal2"), "--fields", "q,x"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+    assert "prime" in capsys.readouterr().err
 
 
 def test_computation_errors_exit_two(capsys, tmp_path):
@@ -196,6 +204,4 @@ def test_computation_errors_exit_two(capsys, tmp_path):
     bad = tmp_path / "bad.ideal"
     bad.write_text("vars: x\ngens: y\n")
     code, _, err = _run(capsys, ["betti", str(bad)])
-    assert code == 2
-    code, _, err = _run(capsys, ["betti", _fixture("maximal2"), "--field", "zz"])
     assert code == 2

@@ -1,4 +1,6 @@
 """Parsing, ideal arithmetic, and the small exact invariants."""
+import itertools
+
 import pytest
 
 from bettipowers.monomial_core import (
@@ -94,6 +96,26 @@ def test_power_minimalizes():
 def test_product_matches_square():
     ideal = parse_ideal("vars: x y z; gens: x*y, z^2")
     assert product(ideal, ideal) == power(ideal, 2)
+
+
+def _power_reference(I, k):
+    # I^k straight from the definition: every product of k generators.
+    prods = {
+        tuple(map(sum, zip(*combo)))
+        for combo in itertools.combinations_with_replacement(I.generators, k)
+    }
+    return MonomialIdeal(I.variables, minimalize(prods))
+
+
+def test_power_matches_all_products_of_k_generators():
+    for text in (
+        "vars: x y; gens: x, x*y",
+        "vars: x y z; gens: x^2, y^2, x*y*z",
+        "vars: a b c d; gens: a^2*b, b*c^3, c*d, a*d^2, b^2*d",
+    ):
+        ideal = parse_ideal(text)
+        for k in range(1, 6):
+            assert power(ideal, k) == _power_reference(ideal, k), (text, k)
 
 
 def test_colon_by_maximal_of_square():

@@ -31,6 +31,16 @@ def test_field_parse():
         CoefficientField.parse("abc")
 
 
+def test_field_primality_is_fast_and_exact():
+    # Trial division up to sqrt(p) would never finish on the Mersenne prime.
+    assert CoefficientField(2**61 - 1).characteristic == 2**61 - 1
+    for composite in (2**61 + 1, 1, 561, 3215031751, 3825123056546413051):
+        with pytest.raises(ValueError):
+            CoefficientField(composite)
+    with pytest.raises(ValueError, match="2\\^64"):
+        CoefficientField(2**89 - 1)
+
+
 def test_rank_depends_on_characteristic():
     rows = [[2, 0], [0, 2]]
     assert rank_integer(rows, 2) == 2
@@ -94,6 +104,24 @@ def test_lcm_lattice_small():
     assert lcm_lattice(ideal) == [(0, 1), (1, 0), (1, 1)]
     with pytest.raises(ResourceLimitError):
         lcm_lattice(fixture_ideal("mixed6"), max_size=3)
+
+
+def _upper_koszul_reference(I, a):
+    # One full simplex on {j : g_j < a_j} for each generator g dividing x^a.
+    faces = [
+        [j + 1 for j in range(I.nvars) if g[j] < a[j]]
+        for g in I.generators
+        if all(x <= y for x, y in zip(g, a))
+    ]
+    return SimplicialComplex.from_faces(I.nvars, faces)
+
+
+def test_upper_koszul_complex_matches_definition():
+    for name, k in (("mixed6", 2), ("rp2", 1), ("msquare2", 3)):
+        ideal = power(fixture_ideal(name), k)
+        points = lcm_lattice(ideal) + [(0,) * ideal.nvars, (1,) * ideal.nvars]
+        for a in points:
+            assert upper_koszul_complex(ideal, a) == _upper_koszul_reference(ideal, a)
 
 
 def test_upper_koszul_complex_detects_syzygy():

@@ -14,13 +14,14 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+from bettipowers import asymptotics
 from bettipowers.asymptotics import (
     KodiyalamProfile,
     betti_series,
     kodiyalam_profile,
 )
 from bettipowers.monomial_core import MonomialIdeal
-from bettipowers.resolution_engine import RATIONALS, betti_table
+from bettipowers.resolution_engine import RATIONALS, EngineInvariantError, ResourceLimitError
 from bettipowers.scan import ScanParameters, scan_record
 from bettipowers.verdicts import FAILS, HOLDS, conjecture_check, full_report
 
@@ -48,7 +49,7 @@ def test_squarefree_population_exhaustively_clean():
         series = betti_series(ideal, 9, RATIONALS)
         profile = kodiyalam_profile(series, guard=3)
         assert isinstance(profile, KodiyalamProfile), gens
-        report = full_report(ideal, betti_table(ideal, RATIONALS), series, profile)
+        report = full_report(series, profile)
         failed = [e.statement for e in report.entries if e.status == FAILS]
         assert failed == [], (gens, failed)
         if profile.ell >= 2:
@@ -121,3 +122,27 @@ def test_artinian_scan_records_reach_full_spread():
         assert record.profile["bigK"] == 3
         assert record.verdicts["multiplicity-binomial-bound"] == "holds"
         assert record.verdicts["artinian-max-spread"] == "holds"
+
+
+def test_engine_faults_become_findings_and_limits_get_their_own_status(monkeypatch):
+    params = ScanParameters(nvars=3, ngens=4, max_exp=1, count=1, seed=1)
+
+    def broken(I, F):
+        raise EngineInvariantError("beta_1 = 0 disagrees with 4 minimal generators")
+
+    monkeypatch.setattr(asymptotics, "betti_table", broken)
+    record = scan_record(params, 0)
+    assert record.profile["status"] == "error"
+    assert [f["kind"] for f in record.findings] == ["engine-invariant"]
+    finding = record.findings[0]
+    assert "beta_1 = 0" in finding["message"]
+    assert finding["generators"] == [list(g) for g in record.generators]
+
+    def too_big(I, F):
+        raise ResourceLimitError("lcm lattice exceeds cap of 3 elements")
+
+    monkeypatch.setattr(asymptotics, "betti_table", too_big)
+    record = scan_record(params, 0)
+    assert record.profile["status"] == "resource-limit"
+    assert "cap of 3" in record.profile["error"]
+    assert record.findings == []

@@ -175,7 +175,7 @@ def test_corollary_last_inconclusive_before_strictness():
     # computed row is only weakly log-concave stays inconclusive.
     ideal = fixture_ideal("msquare2")
     _, _, profile = _pipeline("msquare2", 6)
-    series = BettiSeries(ideal, RATIONALS, 1, ((1, 2, 4),))
+    series = BettiSeries(ideal, RATIONALS, 1, ((1, 2, 4),), betti_table(ideal))
     entry = corollary_last_check(series, profile, applicable=True)
     assert entry.status == INCONCLUSIVE
     assert entry.witness["statuses"] == ["weak"]
@@ -197,8 +197,8 @@ def test_corollary_last_principal_trivial():
 
 
 def test_full_report_statuses_and_lookup():
-    ideal, series, profile = _pipeline("msquare2", 6)
-    report = full_report(ideal, betti_table(ideal), series, profile)
+    _, series, profile = _pipeline("msquare2", 6)
+    report = full_report(series, profile)
     assert report.statuses() == {
         CONJECTURE: HOLDS,
         SATISFIED: HOLDS,
@@ -212,8 +212,8 @@ def test_full_report_statuses_and_lookup():
 
 
 def test_full_report_witnesses_replay():
-    ideal, series, profile = _pipeline("maximal3", 6)
-    report = full_report(ideal, betti_table(ideal), series, profile)
+    _, series, profile = _pipeline("maximal3", 6)
+    report = full_report(series, profile)
     witness = report.entry(CONJECTURE).witness
     k1 = profile.multiplicities[0]
     ratios = [Fraction(ki, k1) for ki in profile.multiplicities]
@@ -231,7 +231,7 @@ def test_full_report_witnesses_replay():
 
 def test_report_json_serializable():
     ideal, series, profile = _pipeline("maximal2", 5)
-    report = full_report(ideal, betti_table(ideal), series, profile)
+    report = full_report(series, profile)
     payload = json.loads(json.dumps(report.to_json(), sort_keys=True))
     assert payload["ideal"] == str(ideal)
     ids = [s["id"] for s in payload["statements"]]
