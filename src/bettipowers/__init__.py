@@ -21,11 +21,9 @@ from .asymptotics import (
     kodiyalam_profile,
     profile_to_json,
 )
-from .corpus import ARTINIAN_CORPUS, FIXTURES, PROFILE_CORPUS, fixture_ideal
 from .monomial_core import (
     IdealSyntaxError,
     MonomialIdeal,
-    colon_by_maximal,
     is_artinian,
     minimalize,
     parse_ideal,
@@ -33,7 +31,7 @@ from .monomial_core import (
     product,
     socle_dimension,
 )
-from .polynomials import RationalPolynomial, fraction_str, parse_fraction
+from .polynomials import RationalPolynomial, fraction_str
 from .resolution_engine import (
     GF2,
     RATIONALS,
@@ -41,12 +39,9 @@ from .resolution_engine import (
     CoefficientField,
     EngineInvariantError,
     ResourceLimitError,
-    SimplicialComplex,
     betti_table,
     lcm_lattice,
-    reduced_homology_dims,
     taylor_betti,
-    upper_koszul_complex,
 )
 from .scan import ScanParameters, ScanRecord, run_scan, scan_record, write_jsonl
 from .spectra import (
@@ -79,20 +74,17 @@ from .verdicts import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ARTINIAN_CORPUS",
     "BettiSeries",
     "BettiTable",
     "CoefficientField",
     "ConvergenceReport",
     "EngineInvariantError",
-    "FIXTURES",
     "GF2",
     "IdealSyntaxError",
     "KodiyalamProfile",
     "LimitPolynomial",
     "MonomialIdeal",
     "NotStabilized",
-    "PROFILE_CORPUS",
     "ProfileInvariantError",
     "RATIONALS",
     "RationalPolynomial",
@@ -101,7 +93,6 @@ __all__ = [
     "RootLocus",
     "ScanParameters",
     "ScanRecord",
-    "SimplicialComplex",
     "VerdictEntry",
     "VerdictReport",
     "artinian_spread_check",
@@ -110,7 +101,6 @@ __all__ = [
     "betti_table",
     "closed_form_profile",
     "closed_form_regular_sequence",
-    "colon_by_maximal",
     "conjecture_check",
     "corollary_last_check",
     "corollary_satisfied_check",
@@ -118,7 +108,6 @@ __all__ = [
     "euler_check",
     "find_roots",
     "fit_polynomial",
-    "fixture_ideal",
     "fraction_str",
     "full_report",
     "is_artinian",
@@ -127,13 +116,11 @@ __all__ = [
     "limit_polynomial",
     "log_concavity",
     "minimalize",
-    "parse_fraction",
     "parse_ideal",
     "power",
     "product",
     "profile_to_json",
     "real_root_multiplicities",
-    "reduced_homology_dims",
     "render_locus_svg",
     "root_locus",
     "run_scan",
@@ -142,7 +129,6 @@ __all__ = [
     "sturm_real_root_count",
     "taylor_betti",
     "unimodality",
-    "upper_koszul_complex",
     "verify_limit_theorem",
     "write_jsonl",
 ]

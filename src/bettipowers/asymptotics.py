@@ -100,7 +100,8 @@ def betti_series(
         try:
             table = betti_table(ideal_k, F)
         except Exception as exc:
-            raise type(exc)(f"power k={k}: {exc}") from exc
+            exc.args = (f"power k={k}: {exc}",)
+            raise
         if k == 1:
             first = table
         rows.append(table.totals)

@@ -1,4 +1,4 @@
-"""Monomials and monomial ideals: parsing, minimal generators, powers, colon ideals, predicates.
+"""Monomials and monomial ideals: parsing, minimal generators, powers, predicates.
 
 Exponent vectors are plain tuples of non-negative integers; a monomial ideal
 is a finite antichain of such vectors together with an ordered variable list.
@@ -53,7 +53,6 @@ class MonomialIdeal:
         cls,
         variables: Sequence[str],
         gens: Iterable[Sequence[int]],
-        allow_unit: bool = False,
     ) -> "MonomialIdeal":
         variables = tuple(variables)
         if len(set(variables)) != len(variables):
@@ -67,17 +66,13 @@ class MonomialIdeal:
                 raise ValueError(f"generator {g} has wrong length, expected {n}")
             if any(e < 0 for e in g):
                 raise ValueError(f"negative exponent in generator {g}")
-        if gens[0] == (0,) * n and not allow_unit:
+        if gens[0] == (0,) * n:
             raise ValueError("unit generator: the unit ideal is not accepted as input")
         return cls(variables, gens)
 
     @property
     def nvars(self) -> int:
         return len(self.variables)
-
-    @property
-    def is_unit(self) -> bool:
-        return self.generators == ((0,) * self.nvars,)
 
     def contains(self, u: Sequence[int]) -> bool:
         """Membership test: x^u lies in the ideal iff some generator divides it."""
@@ -206,30 +201,6 @@ def product(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
         for h in J.generators
     }
     return MonomialIdeal(I.variables, minimalize(prods))
-
-
-def _colon_by_variable(gens: Iterable[ExponentVector], i: int) -> tuple[ExponentVector, ...]:
-    # (I : x_i): drop one from entry i of every generator, floored at zero.
-    shifted = {g[:i] + (max(g[i] - 1, 0),) + g[i + 1:] for g in gens}
-    return minimalize(shifted)
-
-
-def _intersect(a: Iterable[ExponentVector], b: Iterable[ExponentVector]) -> tuple[ExponentVector, ...]:
-    # Intersection of monomial ideals: pairwise lcms, then minimalize.
-    lcms = {tuple(max(x, y) for x, y in zip(g, h)) for g in a for h in b}
-    return minimalize(lcms)
-
-
-def colon_by_maximal(I: MonomialIdeal) -> MonomialIdeal:
-    """The colon ideal (I : m) where m is the irrelevant maximal ideal.
-
-    Computed as the intersection over all variables of (I : x_i).  The result
-    may be the unit ideal (for example when I is m itself).
-    """
-    gens = _colon_by_variable(I.generators, 0)
-    for i in range(1, I.nvars):
-        gens = _intersect(gens, _colon_by_variable(I.generators, i))
-    return MonomialIdeal.from_generators(I.variables, gens, allow_unit=True)
 
 
 def is_artinian(I: MonomialIdeal) -> bool:

@@ -16,10 +16,6 @@ def fraction_str(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
-def parse_fraction(s: str) -> Fraction:
-    return Fraction(s)
-
-
 @dataclass(frozen=True)
 class RationalPolynomial:
     """Immutable polynomial with Fraction coefficients, lowest degree first.
@@ -44,10 +40,6 @@ class RationalPolynomial:
     @classmethod
     def constant(cls, c: Scalar) -> "RationalPolynomial":
         return cls.from_coefficients([c])
-
-    @classmethod
-    def monomial(cls, c: Scalar, degree: int) -> "RationalPolynomial":
-        return cls.from_coefficients([0] * degree + [c])
 
     @classmethod
     def interpolate(cls, points: Sequence[tuple[Scalar, Scalar]]) -> "RationalPolynomial":
@@ -81,11 +73,6 @@ class RationalPolynomial:
         if self.is_zero:
             return Fraction(0)
         return self.coefficients[-1]
-
-    def coefficient(self, degree: int) -> Fraction:
-        if 0 <= degree < len(self.coefficients):
-            return self.coefficients[degree]
-        return Fraction(0)
 
     def __call__(self, x):
         """Evaluate by Horner's rule; exact for int/Fraction, works for complex."""

@@ -10,9 +10,9 @@ vertex order and boundary sign convention.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -145,15 +145,6 @@ def rank_over(rows: Sequence[Sequence[int]], ncols: int, F: CoefficientField) ->
     return rank_mod_p(rows, ncols, F.characteristic)
 
 
-def _vertex_mask(vertices: Iterable[int], n: int) -> int:
-    mask = 0
-    for v in vertices:
-        if not 1 <= v <= n:
-            raise ValueError(f"vertex {v} outside 1..{n}")
-        mask |= 1 << (v - 1)
-    return mask
-
-
 def _maximal_masks(masks: Iterable[int]) -> tuple[int, ...]:
     distinct = sorted(set(masks), key=lambda m: (-bin(m).count("1"), m))
     out: list[int] = []
@@ -163,44 +154,13 @@ def _maximal_masks(masks: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
-@dataclass(frozen=True)
-class SimplicialComplex:
-    """A simplicial complex on vertices 1..n, stored by its maximal faces.
-
-    Faces are vertex sets encoded as bitmasks (bit j = vertex j+1); the face
-    list is downward closed by construction.  An empty maximal-face tuple is
-    the void complex with no faces at all.
-    """
-
-    n_vertices: int
-    maximal_faces: tuple[int, ...]
-
-    def __post_init__(self):
-        for a, b in itertools.combinations(self.maximal_faces, 2):
-            if a & b in (a, b):
-                raise ValueError("maximal faces must form an antichain")
-
-    @classmethod
-    def from_faces(cls, n: int, faces: Iterable[Iterable[int]]) -> "SimplicialComplex":
-        masks = [_vertex_mask(f, n) for f in faces]
-        return cls(n, _maximal_masks(masks))
-
-    @property
-    def is_void(self) -> bool:
-        return not self.maximal_faces
-
-    def has_face(self, vertices: Iterable[int]) -> bool:
-        mask = _vertex_mask(vertices, self.n_vertices)
-        if self.is_void:
-            return False
-        return any(mask & M == mask for M in self.maximal_faces)
-
-
 @lru_cache(maxsize=None)
 def _homology_dims_cached(
     n: int, maximal_faces: tuple[int, ...], characteristic: int
 ) -> tuple[int, ...]:
-    # Reduced homology dims indexed by j+1 for j = -1..n-1.  The augmentation
+    # Reduced homology dims over F_char (Q for 0) of the complex with these
+    # maximal faces, indexed by j+1 for j = -1..n-1.  Boundary matrices use
+    # d[v_0 < ... < v_j] = sum_t (-1)^t [.. v_t omitted ..].  The augmentation
     # C_{-1} = K is always present, so the void complex has H~_{-1} = K.
     F = CoefficientField(characteristic)
     faces: set[int] = set()
@@ -234,15 +194,6 @@ def _homology_dims_cached(
     return tuple(counts[i] - rank[i] - rank[i + 1] for i in range(n + 1))
 
 
-def reduced_homology_dims(C: SimplicialComplex, F: CoefficientField) -> tuple[int, ...]:
-    """Reduced homology dimensions over F, indexed by j+1 for j = -1..n-1.
-
-    Boundary matrices use the fixed vertex order with the sign convention
-    d[v_0 < ... < v_j] = sum_t (-1)^t [.. v_t omitted ..]; all ranks exact.
-    """
-    return _homology_dims_cached(C.n_vertices, C.maximal_faces, F.characteristic)
-
-
 def lcm_lattice(
     I: MonomialIdeal, max_size: int = DEFAULT_LATTICE_CAP
 ) -> list[ExponentVector]:
@@ -270,22 +221,10 @@ def lcm_lattice(
     return sorted(seen)
 
 
-def upper_koszul_complex(I: MonomialIdeal, a: Sequence[int]) -> SimplicialComplex:
-    """The upper Koszul complex at multidegree a.
-
-    Faces are the squarefree vectors s with x^(a-s) in the ideal; a vertex j
-    with a_j = 0 can never appear.  The complex is the union of full
-    simplices on {j : g_j < a_j}, one for each generator g dividing x^a.
-    """
-    a = tuple(a)
-    if len(a) != I.nvars or any(e < 0 for e in a):
-        raise ValueError("multidegree must be a non-negative vector of full length")
-    G = np.array(I.generators, dtype=np.int64)
-    return SimplicialComplex(I.nvars, _upper_koszul_faces(G, a))
-
-
 def _upper_koszul_faces(G: np.ndarray, a: Sequence[int]) -> tuple[int, ...]:
-    # Maximal faces of the upper Koszul complex at a; the rows of G are the generators.
+    # Maximal faces of the upper Koszul complex at a, whose faces are the
+    # squarefree s with x^(a-s) in the ideal: one full simplex on
+    # {j : g_j < a_j} per generator g dividing x^a (the rows of G).
     av = np.array(a, dtype=np.int64)
     covered = (G <= av).all(axis=1)
     masks = (G[covered] < av) @ (1 << np.arange(len(av), dtype=np.int64))
@@ -324,6 +263,9 @@ def betti_table(
     alternating sum zero) is asserted on the result.
     """
     n = I.nvars
+    top = max(max(g) for g in I.generators)
+    if top >= 1 << 63:
+        raise ResourceLimitError(f"exponent {top} is beyond the engine's 64-bit range")
     lattice = lcm_lattice(I, max_size=lattice_cap)
     G = np.array(I.generators, dtype=np.int64)
     entries: dict[tuple[int, ExponentVector], int] = {(0, (0,) * n): 1}

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from bettipowers import asymptotics
 from bettipowers.asymptotics import (
     BettiSeries,
     KodiyalamProfile,
@@ -16,9 +17,11 @@ from bettipowers.asymptotics import (
     kodiyalam_profile,
     profile_to_json,
 )
-from bettipowers.corpus import fixture_ideal
 from bettipowers.polynomials import RationalPolynomial
 from bettipowers.resolution_engine import RATIONALS, betti_table
+from bettipowers.spectra import RootFindingError
+
+from _fixtures import fixture_ideal
 
 QUADRATIC = RationalPolynomial.from_coefficients([-7, 4, 3])
 
@@ -195,6 +198,17 @@ def test_profile_to_json_shapes():
     assert bad["failed_indices"] == [1, 2]
 
 
-def test_series_error_annotation():
+def test_series_error_annotation(monkeypatch):
     with pytest.raises(ValueError):
         betti_series(fixture_ideal("maximal2"), 0)
+
+    # The failing power is named in the message; the exception keeps its
+    # type and attributes, even when its constructor takes more than a message.
+    def broken(ideal, field):
+        raise RootFindingError("bad", [1j], [])
+
+    monkeypatch.setattr(asymptotics, "betti_table", broken)
+    with pytest.raises(RootFindingError) as err:
+        betti_series(fixture_ideal("maximal2"), 3)
+    assert str(err.value) == "power k=1: bad"
+    assert err.value.roots == [1j]

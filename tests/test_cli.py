@@ -1,18 +1,18 @@
 """Command-line interface: outputs, exit codes, and determinism."""
 import json
-from pathlib import Path
 
 import pytest
 
+from bettipowers import cli
 from bettipowers.cli import main
-from bettipowers.monomial_core import parse_ideal, power
+from bettipowers.monomial_core import power, product
 from bettipowers.resolution_engine import CoefficientField, betti_table
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+from _fixtures import FIXTURE_DIR, fixture_ideal
 
 
 def _fixture(name: str) -> str:
-    return str(FIXTURES / f"{name}.ideal")
+    return str(FIXTURE_DIR / f"{name}.ideal")
 
 
 def _run(capsys, argv):
@@ -24,14 +24,14 @@ def _run(capsys, argv):
 def test_betti_matches_library_csv(capsys):
     code, out, _ = _run(capsys, ["betti", _fixture("maximal2")])
     assert code == 0
-    ideal = parse_ideal(Path(_fixture("maximal2")).read_text())
+    ideal = fixture_ideal("maximal2")
     assert out == betti_table(ideal).to_csv()
 
 
 def test_betti_power_and_field_flags(capsys):
     code, out, _ = _run(capsys, ["betti", _fixture("msquare2"), "--power", "2", "--field", "2"])
     assert code == 0
-    ideal = parse_ideal(Path(_fixture("msquare2")).read_text())
+    ideal = fixture_ideal("msquare2")
     expected = betti_table(power(ideal, 2), CoefficientField.parse("2")).to_csv()
     assert out == expected
 
@@ -180,6 +180,20 @@ def test_oracle_check_agreement(capsys):
         assert all(r["agree"] for r in per_field)
 
 
+def test_oracle_check_builds_each_power_once(capsys, monkeypatch):
+    calls = []
+
+    def counting_product(I, J):
+        calls.append(1)
+        return product(I, J)
+
+    monkeypatch.setattr(cli, "product", counting_product)
+    argv = ["oracle-check", _fixture("maximal2"), "--kmax", "4", "--fields", "q,2,3"]
+    code, out, _ = _run(capsys, argv)
+    assert code == 0 and json.loads(out)["engines_agree"] is True
+    assert len(calls) == 3  # I^2, I^3 and I^4, shared by the three fields
+
+
 def test_usage_errors_exit_one(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["betti"])
@@ -191,6 +205,8 @@ def test_usage_errors_exit_one(capsys):
         ["betti", _fixture("maximal2"), "--field", "zz"],
         ["profile", _fixture("maximal2"), "--field", "4"],
         ["oracle-check", _fixture("maximal2"), "--fields", "q,x"],
+        ["oracle-check", _fixture("maximal2"), "--fields", "q,q"],
+        ["oracle-check", _fixture("maximal2"), "--fields", "q,0"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -205,3 +221,9 @@ def test_computation_errors_exit_two(capsys, tmp_path):
     bad.write_text("vars: x\ngens: y\n")
     code, _, err = _run(capsys, ["betti", str(bad)])
     assert code == 2
+    huge = tmp_path / "huge.ideal"
+    huge.write_text("vars: x y; gens: x^9999999999999999999999, y\n")
+    code, _, err = _run(capsys, ["betti", str(huge)])
+    assert code == 2 and "error:" in err and "64-bit" in err
+    code, _, err = _run(capsys, ["oracle-check", _fixture("rp2"), "--kmax", "2"])
+    assert code == 2 and "Taylor oracle cap" in err

@@ -6,7 +6,6 @@ import pytest
 from bettipowers.monomial_core import (
     IdealSyntaxError,
     MonomialIdeal,
-    colon_by_maximal,
     divides,
     generator_degree_profile,
     is_artinian,
@@ -74,8 +73,6 @@ def test_from_generators_validation():
         MonomialIdeal.from_generators(("x",), [])
     with pytest.raises(ValueError):
         MonomialIdeal.from_generators(("x", "y"), [(0, 0)])
-    unit = MonomialIdeal.from_generators(("x", "y"), [(0, 0)], allow_unit=True)
-    assert unit.is_unit
 
 
 def test_power_of_maximal():
@@ -116,22 +113,6 @@ def test_power_matches_all_products_of_k_generators():
         ideal = parse_ideal(text)
         for k in range(1, 6):
             assert power(ideal, k) == _power_reference(ideal, k), (text, k)
-
-
-def test_colon_by_maximal_of_square():
-    m2 = parse_ideal("vars: x y; gens: x^2, x*y, y^2")
-    colon = colon_by_maximal(m2)
-    assert colon.generators == ((0, 1), (1, 0))
-
-
-def test_colon_by_maximal_unit_result():
-    m = parse_ideal("vars: x y; gens: x, y")
-    assert colon_by_maximal(m).is_unit
-
-
-def test_colon_of_principal_is_stable():
-    ideal = parse_ideal("vars: x y; gens: x^2*y")
-    assert colon_by_maximal(ideal) == ideal
 
 
 def test_is_artinian():

@@ -10,7 +10,6 @@ from bettipowers.asymptotics import (
     closed_form_profile,
     kodiyalam_profile,
 )
-from bettipowers.corpus import fixture_ideal
 from bettipowers.polynomials import RationalPolynomial
 from bettipowers.spectra import (
     RootFindingError,
@@ -23,6 +22,8 @@ from bettipowers.spectra import (
     sturm_real_root_count,
     verify_limit_theorem,
 )
+
+from _fixtures import fixture_ideal
 
 
 def _poly(*coeffs):

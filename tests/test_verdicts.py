@@ -6,7 +6,6 @@ from math import comb
 import pytest
 
 from bettipowers.asymptotics import BettiSeries, KodiyalamProfile, betti_series, kodiyalam_profile
-from bettipowers.corpus import fixture_ideal
 from bettipowers.resolution_engine import RATIONALS, betti_table
 from bettipowers.verdicts import (
     ARTINIAN_SPREAD,
@@ -28,6 +27,8 @@ from bettipowers.verdicts import (
     log_concavity,
     unimodality,
 )
+
+from _fixtures import fixture_ideal
 
 
 def _profile(multiplicities, ell=2, bigK=None):
