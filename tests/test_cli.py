@@ -225,5 +225,10 @@ def test_computation_errors_exit_two(capsys, tmp_path):
     huge.write_text("vars: x y; gens: x^9999999999999999999999, y\n")
     code, _, err = _run(capsys, ["betti", str(huge)])
     assert code == 2 and "error:" in err and "64-bit" in err
+    # Vertex masks are int64: x65 and x66 would lose their bits.
+    wide = tmp_path / "wide.ideal"
+    wide.write_text(f"vars: {' '.join(f'x{i}' for i in range(1, 67))}; gens: x65, x66\n")
+    code, _, err = _run(capsys, ["betti", str(wide)])
+    assert code == 2 and "error:" in err and "63" in err
     code, _, err = _run(capsys, ["oracle-check", _fixture("rp2"), "--kmax", "2"])
     assert code == 2 and "Taylor oracle cap" in err

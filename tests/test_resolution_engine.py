@@ -1,14 +1,19 @@
 """Exact rank computation, simplicial homology, and the Betti table engine."""
+import random
+import time
+
 import numpy as np
 import pytest
 
-from bettipowers.monomial_core import parse_ideal, power
+from bettipowers import resolution_engine
+from bettipowers.monomial_core import MonomialIdeal, parse_ideal, power
 from bettipowers.resolution_engine import (
     GF2,
     RATIONALS,
     CoefficientField,
     ResourceLimitError,
     _homology_dims_cached,
+    _lcm_lattice_python,
     _maximal_masks,
     _upper_koszul_faces,
     betti_table,
@@ -19,7 +24,7 @@ from bettipowers.resolution_engine import (
     taylor_betti,
 )
 
-from _fixtures import fixture_ideal
+from _fixtures import FIXTURE_DIR, fixture_ideal
 
 
 def test_field_parse():
@@ -112,6 +117,77 @@ def test_lcm_lattice_small():
         lcm_lattice(fixture_ideal("mixed6"), max_size=3)
 
 
+def _lattice_or_error(lattice, ideal, cap):
+    try:
+        return lattice(ideal, cap)
+    except ResourceLimitError as err:
+        return str(err)
+
+
+def _assert_lattice_matches_reference(ideal):
+    expected = _lcm_lattice_python(ideal)
+    assert lcm_lattice(ideal) == expected
+    # The cap admits a lattice of exactly max_size points, and rejects a
+    # larger one as soon as a join is added beyond it.
+    assert lcm_lattice(ideal, len(expected)) == expected
+    cap = len(expected) - 1
+    assert _lattice_or_error(lcm_lattice, ideal, cap) == _lattice_or_error(
+        _lcm_lattice_python, ideal, cap
+    )
+
+
+def test_lcm_lattice_matches_reference_on_fixtures():
+    paths = sorted(FIXTURE_DIR.glob("*.ideal"))
+    assert paths
+    for path in paths:
+        ideal = fixture_ideal(path.stem)
+        for k in (1, 2, 3):
+            _assert_lattice_matches_reference(power(ideal, k))
+
+
+def test_lcm_lattice_matches_reference_on_random_ideals():
+    rng = random.Random(20091)
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        gens = [
+            tuple(rng.randint(0, 4) for _ in range(n)) for _ in range(rng.randint(1, 7))
+        ]
+        if (0,) * n in gens:
+            continue  # the unit ideal
+        ideal = MonomialIdeal.from_generators([f"x{i}" for i in range(n)], gens)
+        _assert_lattice_matches_reference(ideal)
+
+
+def test_lcm_lattice_wide_keys_use_the_reference(monkeypatch):
+    # Three distinct values in each of 40 coordinates: 3^40 > 2^63 keys.
+    gens = [tuple((j + shift) % 3 for j in range(40)) for shift in range(3)]
+    ideal = MonomialIdeal.from_generators([f"x{i}" for i in range(40)], gens)
+    expected = _lcm_lattice_python(ideal)
+    assert len(expected) == 7
+    calls = []
+
+    def counting(I, max_size):
+        calls.append(I)
+        return _lcm_lattice_python(I, max_size)
+
+    monkeypatch.setattr(resolution_engine, "_lcm_lattice_python", counting)
+    assert lcm_lattice(ideal) == expected
+    assert calls == [ideal]
+
+
+def test_lcm_lattice_cap_far_below_the_lattice():
+    # The maximal ideal in 24 variables has 2^24 - 1 lattice points.
+    n = 24
+    ideal = MonomialIdeal.from_generators(
+        [f"x{i}" for i in range(n)], [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    )
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError) as err:
+        lcm_lattice(ideal, max_size=1000)
+    assert str(err.value) == "lcm lattice exceeds cap of 1000 elements"
+    assert time.perf_counter() - start < 1.0
+
+
 def _upper_koszul_reference(I, a):
     # One full simplex on {j : g_j < a_j} for each generator g dividing x^a.
     masks = [
@@ -127,18 +203,21 @@ def _generator_matrix(I):
 
 
 def test_upper_koszul_complex_matches_definition():
-    for name, k in (("mixed6", 2), ("rp2", 1), ("msquare2", 3)):
+    for name, k in (("mixed6", 2), ("rp2", 1), ("msquare2", 3), ("mixed6", 4)):
         ideal = power(fixture_ideal(name), k)
         G = _generator_matrix(ideal)
         points = lcm_lattice(ideal) + [(0,) * ideal.nvars, (1,) * ideal.nvars]
-        for a in points:
-            assert _upper_koszul_faces(G, a) == _upper_koszul_reference(ideal, a)
+        faces = list(_upper_koszul_faces(G, points))
+        assert faces == [_upper_koszul_reference(ideal, a) for a in points]
+    # The last case, mixed6 at k=4, spans several chunks.
+    assert len(points) > resolution_engine._CHUNK_CELLS // G.size
 
 
 def test_upper_koszul_complex_detects_syzygy():
     m2 = parse_ideal("vars: x y; gens: x^2, x*y, y^2")
-    faces = _upper_koszul_faces(_generator_matrix(m2), (2, 1))
+    faces, below = _upper_koszul_faces(_generator_matrix(m2), [(2, 1), (1, 0)])
     assert faces == (0b01, 0b10)
+    assert below == ()  # no generator divides x
     dims = _homology_dims_cached(m2.nvars, faces, RATIONALS.characteristic)
     assert dims[1] == 1  # two disconnected vertices: one first syzygy
 

@@ -4,12 +4,17 @@ perfbench/tracer.py replaces each entry point at every module that looks it
 up, and refuses to install if one of those modules no longer holds the same
 object; the output checks in perfbench/ import package names directly.
 Checking both here makes a refactor that drops one fail the tests instead of
-the benchmark.
+the benchmark.  A layer the package stops calling through its traced name
+would read 0 in the benchmark, so the Betti engine's traced layers are also
+checked to be called.
 """
 import ast
 import importlib
 import importlib.util
 from pathlib import Path
+
+from bettipowers import resolution_engine
+from bettipowers.monomial_core import parse_ideal
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
@@ -37,3 +42,19 @@ def test_every_name_the_benchmark_imports_exists():
     assert imported, "perfbench/ imports nothing from bettipowers"
     for source, module, name in imported:
         assert hasattr(importlib.import_module(module), name), f"{source}: {module}.{name}"
+
+
+def test_betti_table_calls_its_traced_layers(monkeypatch):
+    calls = {"lcm_lattice": 0, "_homology_dims_cached": 0}
+    for attr in calls:
+        original = getattr(resolution_engine, attr)
+
+        def counting(*args, _attr=attr, _original=original, **kwargs):
+            calls[_attr] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(resolution_engine, attr, counting)
+    ideal = parse_ideal("vars: x y; gens: x^2, x*y, y^2")
+    assert resolution_engine.betti_table(ideal).totals == (1, 3, 2)
+    assert calls["lcm_lattice"] == 1
+    assert calls["_homology_dims_cached"] > 0
