@@ -227,12 +227,11 @@ def closed_form_profile(n: int) -> KodiyalamProfile:
     """
     if n < 2:
         raise ValueError("regular-sequence profile needs n >= 2")
-    polys = [RationalPolynomial.constant(1)]
-    for i in range(1, n + 1):
-        points = [(k, closed_form_regular_sequence(n, k)[i]) for k in range(1, n + 1)]
-        polys.append(RationalPolynomial.interpolate(points))
+    ks = range(1, n + 1)
+    rows = [closed_form_regular_sequence(n, k) for k in ks]
+    polys = tuple(RationalPolynomial.interpolate(list(zip(ks, col))) for col in zip(*rows))
     return KodiyalamProfile(
-        polynomials=tuple(polys),
+        polynomials=polys,
         k0=1,
         apd=n,
         ell=n,

@@ -118,6 +118,8 @@ def cmd_roots(args) -> int:
     if (args.ideal is None) == (args.regular_sequence is None):
         raise UsageError("provide exactly one of an ideal file or --regular-sequence")
     if args.regular_sequence is not None:
+        if args.regular_sequence < 2:
+            raise UsageError("--regular-sequence needs N >= 2")
         profile = closed_form_profile(args.regular_sequence)
     else:
         ideal = _load_ideal(args.ideal)

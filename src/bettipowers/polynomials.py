@@ -43,21 +43,26 @@ class RationalPolynomial:
 
     @classmethod
     def interpolate(cls, points: Sequence[tuple[Scalar, Scalar]]) -> "RationalPolynomial":
-        """Exact Lagrange interpolation through distinct abscissae."""
+        """Exact interpolation through distinct abscissae.
+
+        Newton divided differences, then the Newton form expanded by Horner's
+        rule: O(n^2) Fraction operations for n points.
+        """
         xs = [Fraction(x) for x, _ in points]
         if len(set(xs)) != len(xs):
             raise ValueError("interpolation nodes must be distinct")
-        result = cls.zero()
-        for j, (xj, yj) in enumerate(points):
-            basis = cls.constant(1)
-            denom = Fraction(1)
-            for m, (xm, _) in enumerate(points):
-                if m == j:
-                    continue
-                basis = basis * cls.from_coefficients([-Fraction(xm), 1])
-                denom *= Fraction(xj) - Fraction(xm)
-            result = result + basis.scale(Fraction(yj) / denom)
-        return result
+        dd = [Fraction(y) for _, y in points]
+        for j in range(1, len(xs)):
+            for i in range(len(xs) - 1, j - 1, -1):
+                dd[i] = (dd[i] - dd[i - 1]) / (xs[i] - xs[i - j])
+        coeffs: list[Fraction] = []
+        for x, c in zip(reversed(xs), reversed(dd)):
+            # coeffs * (t - x) + c
+            shifted = [c] + coeffs
+            for i, a in enumerate(coeffs):
+                shifted[i] -= x * a
+            coeffs = shifted
+        return cls.from_coefficients(coeffs)
 
     @property
     def is_zero(self) -> bool:

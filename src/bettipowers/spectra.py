@@ -218,8 +218,40 @@ def _initial_points(
     return np.array(points, dtype=complex), real_slots, pairs
 
 
+def _horner_columns(coeffs: np.ndarray) -> list[np.ndarray]:
+    # Coefficient columns, highest degree first, of the stacked rows p, p',
+    # q, q' with q(w) = w^m p(1/w).  Each derivative row gets a leading zero
+    # so that all four share one length; the zero step leaves Horner's
+    # accumulator at exactly 0, so every row sees np.polyval's operations.
+    m = len(coeffs) - 1
+    weights = np.arange(m, 0, -1)
+    rows = np.zeros((4, m + 1))
+    rows[0] = coeffs[::-1]
+    rows[1, 1:] = coeffs[:0:-1] * weights
+    rows[2] = coeffs
+    rows[3, 1:] = coeffs[:-1] * weights
+    return [rows[:, j : j + 1] for j in range(m + 1)]
+
+
+def _newton_corrections(columns: list[np.ndarray], z: np.ndarray) -> np.ndarray:
+    # p(z)/p'(z) from one Horner pass over all four rows, taken through the
+    # reversed polynomial at w = 1/z where |z| > 1 so that nothing overflows.
+    m = len(columns) - 1
+    w = 1.0 / z
+    x = np.empty((4, len(z)), dtype=complex)
+    x[:2] = z
+    x[2:] = w
+    y = np.zeros_like(x)
+    for c in columns:
+        y *= x
+        y += c
+    p, dp, q, dq = y
+    return np.where(np.abs(z) > 1.0, z * q / (m * q - w * dq), p / dp)
+
+
 def _aberth_sweeps(
     coeffs: np.ndarray,
+    columns: list[np.ndarray],
     z: np.ndarray,
     real_slots: list[int],
     pairs: list[tuple[int, int]],
@@ -227,24 +259,12 @@ def _aberth_sweeps(
     step_tol: float,
     residual_tol: float,
 ) -> tuple[np.ndarray, bool]:
-    m = len(z)
-    high = coeffs[::-1]
-    dhigh = (high[:-1] * np.arange(m, 0, -1)).astype(float)
-    low = coeffs
-    dlow = (low[:-1] * np.arange(m, 0, -1)).astype(float)  # derivative of reversed
+    upper = [i for i, _ in pairs]
+    lower = [j for _, j in pairs]
     for _ in range(max_iter):
         with np.errstate(all="ignore"):
             absz = np.abs(z)
-            big = absz > 1.0
-            p = np.polyval(high, z)
-            dp = np.polyval(dhigh, z)
-            newton = p / dp
-            if big.any():
-                w = 1.0 / z[big]
-                q = np.polyval(low, w)
-                dq = np.polyval(dlow, w)
-                newton_big = z[big] * q / (m * q - w * dq)
-                newton[big] = newton_big
+            newton = _newton_corrections(columns, z)
             diff = z[:, None] - z[None, :]
             np.fill_diagonal(diff, np.inf)
             repulse = (1.0 / diff).sum(axis=1)
@@ -259,12 +279,10 @@ def _aberth_sweeps(
                 scale = np.where(mag > limit, limit / mag, 1.0)
             step = step * scale
         z = z - step
-        for i in real_slots:
-            z[i] = complex(z[i].real, 0.0)
-        for i, j in pairs:
-            avg = (z[i] + z[j].conjugate()) / 2.0
-            z[i] = avg
-            z[j] = avg.conjugate()
+        z[real_slots] = z[real_slots].real
+        avg = (z[upper] + z[lower].conj()) / 2.0
+        z[upper] = avg
+        z[lower] = avg.conj()
         max_step = float(np.max(np.abs(step) / (1.0 + np.abs(z))))
         # Tiny steps alone are not convergence: collided points freeze the
         # iteration through the repulsion term, so acceptance always goes
@@ -276,33 +294,20 @@ def _aberth_sweeps(
     return z, bool((_scaled_residuals(coeffs, z) <= residual_tol).all())
 
 
-def _newton_polish(coeffs: np.ndarray, z: np.ndarray, iters: int = 4) -> np.ndarray:
+def _newton_polish(
+    coeffs: np.ndarray, columns: list[np.ndarray], z: np.ndarray, iters: int = 4
+) -> np.ndarray:
     # Per-point Newton after the simultaneous phase.  Near-coincident
     # partners freeze the collective steps through the repulsion term while
     # clustered roots are still far from evaluation-noise accuracy; plain
     # Newton closes that gap.  A point only moves when its residual improves,
     # so the residual gate stays satisfied.
-    m = len(z)
-    high = coeffs[::-1]
-    dhigh = (high[:-1] * np.arange(m, 0, -1)).astype(float)
-    low = coeffs
-    dlow = (low[:-1] * np.arange(m, 0, -1)).astype(float)
     best = z.copy()
     best_res = _scaled_residuals(coeffs, best)
     cur = z.copy()
     for _ in range(iters):
         with np.errstate(all="ignore"):
-            absz = np.abs(cur)
-            big = absz > 1.0
-            p = np.polyval(high, cur)
-            dp = np.polyval(dhigh, cur)
-            newton = p / dp
-            if big.any():
-                w = 1.0 / cur[big]
-                q = np.polyval(low, w)
-                dq = np.polyval(dlow, w)
-                newton[big] = cur[big] * q / (m * q - w * dq)
-            nxt = cur - newton
+            nxt = cur - _newton_corrections(columns, cur)
         moved = np.where(np.isfinite(nxt), nxt, cur)
         res = _scaled_residuals(coeffs, moved)
         improve = res < best_res
@@ -391,16 +396,19 @@ def find_roots(
         roots = zeros + _quadratic_roots(coeffs[0], coeffs[1], coeffs[2])
         return sorted(roots, key=lambda z: (z.real, z.imag))
     radii = _newton_polygon_radii(coeffs)
+    columns = _horner_columns(coeffs)
     z0, real_slots, pairs = _initial_points(radii, symmetric=True)
     z, ok = _aberth_sweeps(
-        coeffs, z0, real_slots, pairs, max_iter, step_tol, residual_tol
+        coeffs, columns, z0, real_slots, pairs, max_iter, step_tol, residual_tol
     )
     if ok:
-        z = _newton_polish(coeffs, z)
+        z = _newton_polish(coeffs, columns, z)
     if not ok or not _cluster_consistent(coeffs, z):
         z0, _, _ = _initial_points(radii, symmetric=False)
-        z, _ = _aberth_sweeps(coeffs, z0, [], [], max_iter, step_tol, residual_tol)
-        z = np.array(_pair_output(_newton_polish(coeffs, z)), dtype=complex)
+        z, _ = _aberth_sweeps(
+            coeffs, columns, z0, [], [], max_iter, step_tol, residual_tol
+        )
+        z = np.array(_pair_output(_newton_polish(coeffs, columns, z)), dtype=complex)
         residuals = _scaled_residuals(coeffs, z)
         if not (residuals <= residual_tol).all() or not _cluster_consistent(coeffs, z):
             raise RootFindingError(

@@ -169,9 +169,11 @@ def test_closed_form_profile_extrapolates():
     profile = closed_form_profile(3)
     assert profile.multiplicities == (1, 2, 1)
     assert (profile.ell, profile.bigK, profile.apd, profile.k0) == (3, 3, 3, 1)
-    # interpolated from k = 1..3, checked well beyond
-    for i in range(4):
-        assert profile.polynomials[i](9) == closed_form_regular_sequence(3, 9)[i]
+    # interpolated from k = 1..n, checked at the nodes and well beyond
+    for n in (3, 20):
+        polys = closed_form_profile(n).polynomials
+        for k in range(1, 31):
+            assert tuple(p(k) for p in polys) == closed_form_regular_sequence(n, k)
     with pytest.raises(ValueError):
         closed_form_profile(1)
 

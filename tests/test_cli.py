@@ -212,6 +212,8 @@ def test_usage_errors_exit_one(capsys):
             main(argv)
         assert exc.value.code == 1
     assert "prime" in capsys.readouterr().err
+    code, out, err = _run(capsys, ["roots", "--regular-sequence", "1"])
+    assert code == 1 and out == "" and "N >= 2" in err
 
 
 def test_computation_errors_exit_two(capsys, tmp_path):

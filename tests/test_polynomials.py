@@ -1,4 +1,5 @@
 """Exact rational polynomial arithmetic used everywhere downstream."""
+import random
 from fractions import Fraction
 
 import pytest
@@ -39,6 +40,44 @@ def test_interpolate_quadratic():
 def test_interpolate_rejects_duplicate_nodes():
     with pytest.raises(ValueError):
         RationalPolynomial.interpolate([(1, 1), (1, 2)])
+    with pytest.raises(ValueError):
+        RationalPolynomial.interpolate([(Fraction(1, 2), 1), (3, 0), (Fraction(2, 4), 5)])
+
+
+def _lagrange_reference(points):
+    # Lagrange interpolation, one product of n-1 linear factors per basis
+    # polynomial: O(n^4) Fraction operations, but plainly correct.
+    result = RationalPolynomial.zero()
+    for j, (xj, yj) in enumerate(points):
+        basis = RationalPolynomial.constant(1)
+        denom = Fraction(1)
+        for m, (xm, _) in enumerate(points):
+            if m == j:
+                continue
+            basis = basis * RationalPolynomial.from_coefficients([-Fraction(xm), 1])
+            denom *= Fraction(xj) - Fraction(xm)
+        result = result + basis.scale(Fraction(yj) / denom)
+    return result
+
+
+def test_interpolate_matches_lagrange_reference():
+    cases = [
+        [],
+        [(4, 7)],
+        [(4, 0)],
+        [(Fraction(1, 3), Fraction(-2, 5)), (Fraction(-7, 2), 3), (0, Fraction(9, 4))],
+        [(k, k**5 - 3 * k) for k in range(-4, 9)],
+    ]
+    rng = random.Random(20261018)
+    for _ in range(40):
+        xs = rng.sample(range(-30, 31), rng.randint(1, 12))
+        nodes = [Fraction(x, rng.randint(1, 6)) for x in xs]
+        if len(set(nodes)) == len(nodes):
+            cases.append([(x, Fraction(rng.randint(-99, 99), rng.randint(1, 9))) for x in nodes])
+    for points in cases:
+        fit = RationalPolynomial.interpolate(points)
+        assert fit == _lagrange_reference(points), points
+        assert all(fit(x) == y for x, y in points)
 
 
 def test_arithmetic():

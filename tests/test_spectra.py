@@ -2,6 +2,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from bettipowers.asymptotics import (
@@ -10,8 +11,12 @@ from bettipowers.asymptotics import (
     closed_form_profile,
     kodiyalam_profile,
 )
+from bettipowers import spectra
 from bettipowers.polynomials import RationalPolynomial
 from bettipowers.spectra import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_RESIDUAL_TOL,
+    DEFAULT_STEP_TOL,
     RootFindingError,
     betti_polynomial_at,
     find_roots,
@@ -103,6 +108,119 @@ def test_find_roots_error_carries_best_iterate():
         find_roots(_poly(1, 1, 0, 1), max_iter=1, residual_tol=1e-30)
     assert len(err.value.roots) == 3
     assert len(err.value.residuals) == 3
+
+
+def _aberth_reference(coeffs, z, real_slots, pairs, max_iter, step_tol, residual_tol):
+    # The sweep evaluated by four np.polyval calls (p, p', and the reversed
+    # polynomial and its derivative at 1/z), with the symmetry projections
+    # as Python loops; spectra._aberth_sweeps must return the same bits.
+    m = len(z)
+    high = coeffs[::-1]
+    dhigh = (high[:-1] * np.arange(m, 0, -1)).astype(float)
+    low = coeffs
+    dlow = (low[:-1] * np.arange(m, 0, -1)).astype(float)
+    for _ in range(max_iter):
+        with np.errstate(all="ignore"):
+            absz = np.abs(z)
+            big = absz > 1.0
+            p = np.polyval(high, z)
+            dp = np.polyval(dhigh, z)
+            newton = p / dp
+            if big.any():
+                w = 1.0 / z[big]
+                q = np.polyval(low, w)
+                dq = np.polyval(dlow, w)
+                newton[big] = z[big] * q / (m * q - w * dq)
+            diff = z[:, None] - z[None, :]
+            np.fill_diagonal(diff, np.inf)
+            repulse = (1.0 / diff).sum(axis=1)
+            step = newton / (1.0 - newton * repulse)
+            bad = ~np.isfinite(step)
+            if bad.any():
+                fallback = np.where(np.isfinite(newton), newton, 0.0)
+                step = np.where(bad, fallback, step)
+            limit = 1.0 + absz
+            mag = np.abs(step)
+            with np.errstate(invalid="ignore"):
+                scale = np.where(mag > limit, limit / mag, 1.0)
+            step = step * scale
+        z = z - step
+        for i in real_slots:
+            z[i] = complex(z[i].real, 0.0)
+        for i, j in pairs:
+            avg = (z[i] + z[j].conjugate()) / 2.0
+            z[i] = avg
+            z[j] = avg.conjugate()
+        max_step = float(np.max(np.abs(step) / (1.0 + np.abs(z))))
+        if max_step < step_tol:
+            return z, bool((spectra._scaled_residuals(coeffs, z) <= residual_tol).all())
+        if max_step < 1e-8 and (spectra._scaled_residuals(coeffs, z) <= residual_tol).all():
+            return z, True
+    return z, bool((spectra._scaled_residuals(coeffs, z) <= residual_tol).all())
+
+
+def _newton_polish_reference(coeffs, z, iters=4):
+    # The polish with the same four np.polyval calls per step.
+    m = len(z)
+    high = coeffs[::-1]
+    dhigh = (high[:-1] * np.arange(m, 0, -1)).astype(float)
+    low = coeffs
+    dlow = (low[:-1] * np.arange(m, 0, -1)).astype(float)
+    best = z.copy()
+    best_res = spectra._scaled_residuals(coeffs, best)
+    cur = z.copy()
+    for _ in range(iters):
+        with np.errstate(all="ignore"):
+            big = np.abs(cur) > 1.0
+            newton = np.polyval(high, cur) / np.polyval(dhigh, cur)
+            if big.any():
+                w = 1.0 / cur[big]
+                q = np.polyval(low, w)
+                dq = np.polyval(dlow, w)
+                newton[big] = cur[big] * q / (m * q - w * dq)
+            nxt = cur - newton
+        moved = np.where(np.isfinite(nxt), nxt, cur)
+        res = spectra._scaled_residuals(coeffs, moved)
+        improve = res < best_res
+        best[improve] = moved[improve]
+        best_res[improve] = res[improve]
+        cur = moved
+    return best
+
+
+def _assert_sweeps_match_reference(exact, symmetric):
+    coeffs = np.array([float(c) for c in exact])
+    coeffs /= coeffs[-1]
+    radii = spectra._newton_polygon_radii(coeffs)
+    z0, real_slots, pairs = spectra._initial_points(radii, symmetric=symmetric)
+    rest = (real_slots, pairs, DEFAULT_MAX_ITER, DEFAULT_STEP_TOL, DEFAULT_RESIDUAL_TOL)
+    columns = spectra._horner_columns(coeffs)
+    want, want_ok = _aberth_reference(coeffs, z0, *rest)
+    got, got_ok = spectra._aberth_sweeps(coeffs, columns, z0, *rest)
+    assert got_ok == want_ok
+    assert np.array_equal(got, want)
+    polished = spectra._newton_polish(coeffs, columns, got)
+    assert np.array_equal(polished, _newton_polish_reference(coeffs, want))
+
+
+def test_aberth_sweeps_match_reference_on_regular_sequence():
+    # k=1 is (1+t)^20, whose roots end as a noise ring after all sweeps;
+    # k=2 leaves at the residual gate; k=5 and k=20 run every sweep.
+    profile = closed_form_profile(20)
+    for k in (1, 2, 5, 20):
+        _assert_sweeps_match_reference(betti_polynomial_at(profile, k).coefficients, True)
+
+
+def test_aberth_sweeps_match_reference_on_random_polynomials():
+    # Between them these runs leave by all three exits: the step tolerance,
+    # the residual gate and the sweep limit.
+    rng = random.Random(20261018)
+    for _ in range(50):
+        degree = rng.randint(3, 9)
+        coeffs = [rng.choice((-1, 1)) * rng.randint(1, 9)]
+        coeffs += [rng.randint(-9, 9) for _ in range(degree - 1)] + [rng.randint(1, 9)]
+        for symmetric in (True, False):
+            _assert_sweeps_match_reference(coeffs, symmetric)
 
 
 def test_sturm_counts_and_intervals():
