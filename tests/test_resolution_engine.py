@@ -25,6 +25,7 @@ from bettipowers.resolution_engine import (
 )
 
 from _fixtures import FIXTURE_DIR, fixture_ideal
+from _kpolynomial import euler_characteristics, k_polynomial
 
 
 def test_field_parse():
@@ -145,16 +146,20 @@ def test_lcm_lattice_matches_reference_on_fixtures():
             _assert_lattice_matches_reference(power(ideal, k))
 
 
-def test_lcm_lattice_matches_reference_on_random_ideals():
-    rng = random.Random(20091)
-    for _ in range(200):
+def _random_ideals(rng, count, max_exp, max_gens):
+    # Ideals in 1 to 5 variables; a draw of the unit ideal is skipped.
+    for _ in range(count):
         n = rng.randint(1, 5)
         gens = [
-            tuple(rng.randint(0, 4) for _ in range(n)) for _ in range(rng.randint(1, 7))
+            tuple(rng.randint(0, max_exp) for _ in range(n))
+            for _ in range(rng.randint(1, max_gens))
         ]
-        if (0,) * n in gens:
-            continue  # the unit ideal
-        ideal = MonomialIdeal.from_generators([f"x{i}" for i in range(n)], gens)
+        if (0,) * n not in gens:
+            yield MonomialIdeal.from_generators([f"x{i}" for i in range(n)], gens)
+
+
+def test_lcm_lattice_matches_reference_on_random_ideals():
+    for ideal in _random_ideals(random.Random(20091), 200, 4, 7):
         _assert_lattice_matches_reference(ideal)
 
 
@@ -202,24 +207,90 @@ def _generator_matrix(I):
     return np.array(I.generators, dtype=np.int64)
 
 
+def _assert_faces_match_reference(ideal, points):
+    # Every yielded point has the reference's faces; every skipped point's
+    # complex is a single nonempty simplex, so contractible.
+    faces = list(_upper_koszul_faces(_generator_matrix(ideal), points))
+    indices = [i for i, _ in faces]
+    assert indices == sorted(set(indices))
+    yielded = dict(faces)
+    for i, a in enumerate(points):
+        expected = _upper_koszul_reference(ideal, a)
+        if i in yielded:
+            assert yielded[i] == expected, a
+        else:
+            assert len(expected) == 1 and expected[0] != 0, a
+    return yielded
+
+
 def test_upper_koszul_complex_matches_definition():
+    skipped = 0
     for name, k in (("mixed6", 2), ("rp2", 1), ("msquare2", 3), ("mixed6", 4)):
         ideal = power(fixture_ideal(name), k)
-        G = _generator_matrix(ideal)
-        points = lcm_lattice(ideal) + [(0,) * ideal.nvars, (1,) * ideal.nvars]
-        faces = list(_upper_koszul_faces(G, points))
-        assert faces == [_upper_koszul_reference(ideal, a) for a in points]
+        zero, ones = (0,) * ideal.nvars, (1,) * ideal.nvars
+        points = lcm_lattice(ideal) + [zero, ones]
+        yielded = _assert_faces_match_reference(ideal, points)
+        # A generator's own complex is the empty face alone (mask 0), and a
+        # point no generator divides has the void complex.
+        for g in ideal.generators:
+            assert yielded[points.index(g)] == (0,)
+        assert yielded[len(points) - 2] == ()
+        skipped += len(points) - len(yielded)
+    assert skipped > 0
     # The last case, mixed6 at k=4, spans several chunks.
-    assert len(points) > resolution_engine._CHUNK_CELLS // G.size
+    assert len(points) > resolution_engine._CHUNK_CELLS // len(ideal.generators)
+    rng = random.Random(20092)
+    for ideal in _random_ideals(rng, 100, 3, 6):
+        extra = tuple(rng.randint(0, 4) for _ in range(ideal.nvars))
+        _assert_faces_match_reference(ideal, lcm_lattice(ideal) + [extra])
 
 
 def test_upper_koszul_complex_detects_syzygy():
     m2 = parse_ideal("vars: x y; gens: x^2, x*y, y^2")
-    faces, below = _upper_koszul_faces(_generator_matrix(m2), [(2, 1), (1, 0)])
-    assert faces == (0b01, 0b10)
-    assert below == ()  # no generator divides x
-    dims = _homology_dims_cached(m2.nvars, faces, RATIONALS.characteristic)
+    points = [(2, 1), (1, 0), (2, 2), (2, 0)]
+    faces = list(_upper_koszul_faces(_generator_matrix(m2), points))
+    # x^2 y: two disconnected vertices; x: no generator divides it; x^2 y^2:
+    # the masks of x^2, y^2 lie in that of xy, a full edge, so it is skipped;
+    # x^2: a generator, whose complex is the empty face alone.
+    assert faces == [(0, (0b01, 0b10)), (1, ()), (3, (0,))]
+    dims = _homology_dims_cached(m2.nvars, faces[0][1], RATIONALS.characteristic)
     assert dims[1] == 1  # two disconnected vertices: one first syzygy
+
+
+def test_only_points_that_reach_homology_become_python_sets(monkeypatch):
+    # A count, not a time: _maximal_masks runs once per point handed to
+    # _homology_dims_cached, so every skipped point stays in numpy.
+    calls = {"_maximal_masks": 0, "_homology_dims_cached": 0}
+    for attr in calls:
+        original = getattr(resolution_engine, attr)
+
+        def counting(*args, _attr=attr, _original=original):
+            calls[_attr] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(resolution_engine, attr, counting)
+    ideal = power(fixture_ideal("mixed6"), 4)
+    betti_table(ideal)
+    assert 0 < calls["_maximal_masks"] == calls["_homology_dims_cached"]
+    assert calls["_homology_dims_cached"] < len(lcm_lattice(ideal))
+
+
+def _assert_euler_characteristics_match_k_polynomial(ideal, field):
+    table = betti_table(ideal, field)
+    assert euler_characteristics(table) == k_polynomial(ideal.generators, ideal.nvars)
+
+
+def test_euler_characteristics_match_k_polynomial_on_fixtures():
+    for name, kmax in (("mixed6", 6), ("rp2", 3)):
+        ideal = fixture_ideal(name)
+        for k in range(1, kmax + 1):
+            _assert_euler_characteristics_match_k_polynomial(power(ideal, k), RATIONALS)
+
+
+def test_euler_characteristics_match_k_polynomial_on_random_ideals():
+    for trial, ideal in enumerate(_random_ideals(random.Random(20093), 60, 3, 7)):
+        field = GF2 if trial % 2 else RATIONALS
+        _assert_euler_characteristics_match_k_polynomial(ideal, field)
 
 
 def test_betti_table_maximal_ideal():
