@@ -3,9 +3,9 @@
 Two independent routes are provided.  The main engine evaluates reduced
 simplicial homology of upper Koszul complexes at the points of the lcm
 lattice; the oracle computes ranks in the Taylor complex tensored with the
-field.  Both work in exact arithmetic (fraction-free integer elimination for
-characteristic zero, modular elimination for prime fields) and share the
-vertex order and boundary sign convention.
+field.  Both pass their boundary maps, one sparse row per cell, to a single
+exact rank kernel (integer rows kept primitive over Q, reduced mod p over
+F_p) and share the vertex order and boundary sign convention.
 """
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -83,70 +83,56 @@ RATIONALS = CoefficientField(0)
 GF2 = CoefficientField(2)
 
 
-def rank_integer(rows: Sequence[Sequence[int]], ncols: int) -> int:
-    """Rank over the rationals of an integer matrix, by Bareiss elimination.
+def rank_over(
+    rows: Sequence[Mapping[int, int]], ncols: int, F: CoefficientField
+) -> int:
+    """Exact rank over F of the integer matrix with these sparse rows {column: entry}.
 
-    Fraction-free: every division is exact, so the arithmetic stays in the
-    integers regardless of pivot growth.
+    Each row is reduced on its lowest column against the pivot row kept for
+    that column, r <- a*r - b*top, until it vanishes or its lowest column is
+    new.  Over F_p entries are kept mod p; over Q each reduced row is divided
+    by the gcd of its entries, so the integers stay small and exact.  The rows
+    are not modified.  The elimination does not need ncols, the column count;
+    perfbench/tracer.py reads len(rows) * ncols as the dense matrix size.
     """
-    M = [list(r) for r in rows]
-    m = len(M)
-    rank = 0
-    prev = 1
-    row = 0
-    for col in range(ncols):
-        piv = next((r for r in range(row, m) if M[r][col] != 0), None)
-        if piv is None:
-            continue
-        M[row], M[piv] = M[piv], M[row]
-        p = M[row][col]
-        for r in range(row + 1, m):
-            mr = M[r]
-            mrc = mr[col]
-            if mrc == 0 and prev == 1 and p == 1:
-                continue
-            top = M[row]
-            for c in range(col, ncols):
-                mr[c] = (mr[c] * p - mrc * top[c]) // prev
-        prev = p
-        rank += 1
-        row += 1
-        if row == m:
-            break
-    return rank
-
-
-def rank_mod_p(rows: Sequence[Sequence[int]], ncols: int, p: int) -> int:
-    """Rank of an integer matrix over the prime field F_p."""
-    M = [[x % p for x in r] for r in rows]
-    m = len(M)
-    rank = 0
-    row = 0
-    for col in range(ncols):
-        piv = next((r for r in range(row, m) if M[r][col]), None)
-        if piv is None:
-            continue
-        M[row], M[piv] = M[piv], M[row]
-        inv = pow(M[row][col], p - 2, p)
-        M[row] = [(x * inv) % p for x in M[row]]
-        top = M[row]
-        for r in range(row + 1, m):
-            f = M[r][col]
-            if f:
-                M[r] = [(a - f * b) % p for a, b in zip(M[r], top)]
-        rank += 1
-        row += 1
-        if row == m:
-            break
-    return rank
-
-
-def rank_over(rows: Sequence[Sequence[int]], ncols: int, F: CoefficientField) -> int:
-    if not rows or ncols == 0:
-        return 0
-    if F.is_rational:
-        return rank_integer(rows, ncols)
-    return rank_mod_p(rows, ncols, F.characteristic)
+    p = F.characteristic
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        if p:
+            r = {c: x % p for c, x in row.items() if x % p}
+        else:
+            r = {c: x for c, x in row.items() if x}
+        while r:
+            low = min(r)
+            top = pivots.get(low)
+            if top is None:
+                pivots[low] = r
+                break
+            a, b = top[low], r[low]
+            if p:
+                if a != 1:
+                    r = {c: x * a % p for c, x in r.items()}
+                for c, x in top.items():
+                    y = (r.get(c, 0) - b * x) % p
+                    if y:
+                        r[c] = y
+                    else:
+                        del r[c]
+            else:
+                g = math.gcd(a, b)
+                a, b = a // g, b // g
+                if a != 1:
+                    r = {c: x * a for c, x in r.items()}
+                for c, x in top.items():
+                    y = r.get(c, 0) - b * x
+                    if y:
+                        r[c] = y
+                    else:
+                        del r[c]
+                g = math.gcd(*r.values())
+                if g > 1:
+                    r = {c: x // g for c, x in r.items()}
+    return len(pivots)
 
 
 def _maximal_masks(masks: Iterable[int]) -> tuple[int, ...]:
@@ -185,15 +171,17 @@ def _homology_dims_cached(
         if not upper:
             break
         lower = {f: i for i, f in enumerate(faces_by_dim[j - 1])}
-        mat = [[0] * len(upper) for _ in lower]
-        for ci, f in enumerate(upper):
+        columns = []
+        for f in upper:
+            column = {}
             sign = 1
             for v in range(n):
                 bit = 1 << v
                 if f & bit:
-                    mat[lower[f ^ bit]][ci] = sign
+                    column[lower[f ^ bit]] = sign
                     sign = -sign
-        rank[j + 1] = rank_over(mat, len(upper), F)
+            columns.append(column)
+        rank[j + 1] = rank_over(columns, len(lower), F)
     counts = [1] + [len(fs) for fs in faces_by_dim]
     return tuple(counts[i] - rank[i] - rank[i + 1] for i in range(n + 1))
 
@@ -408,26 +396,28 @@ def taylor_betti(
         g = gens[low.bit_length() - 1]
         return tuple(map(max, g, rest))
 
-    subsets = {size: list(itertools.combinations(range(m), size)) for size in range(m + 1)}
-
-    def mask_of(subset: tuple[int, ...]) -> int:
-        out = 0
-        for g in subset:
-            out |= 1 << g
-        return out
-
+    # Subsets of generators as bit masks, in the order of itertools.combinations.
+    subsets = {
+        size: [sum(1 << g for g in c) for c in itertools.combinations(range(m), size)]
+        for size in range(m + 1)
+    }
     ranks = {1: 0}  # the differential into T_0 vanishes modulo the maximal ideal
     for size in range(2, m + 1):
-        upper = subsets[size]
         lower = {s: j for j, s in enumerate(subsets[size - 1])}
-        mat = [[0] * len(upper) for _ in lower]
-        for ci, s in enumerate(upper):
-            full = lcm_of(mask_of(s))
-            for pos in range(size):
-                t = s[:pos] + s[pos + 1:]
-                if lcm_of(mask_of(t)) == full:
-                    mat[lower[t]][ci] = -1 if pos % 2 else 1
-        ranks[size] = rank_over(mat, len(upper), F)
+        columns = []
+        for s in subsets[size]:
+            full = lcm_of(s)
+            column = {}
+            sign = 1
+            rest = s
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                if lcm_of(s ^ bit) == full:
+                    column[lower[s ^ bit]] = sign
+                sign = -sign
+            columns.append(column)
+        ranks[size] = rank_over(columns, len(lower), F)
     betti = [1]
     for i in range(1, m + 1):
         betti.append(len(subsets[i]) - ranks.get(i, 0) - ranks.get(i + 1, 0))

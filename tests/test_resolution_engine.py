@@ -18,12 +18,11 @@ from bettipowers.resolution_engine import (
     _upper_koszul_faces,
     betti_table,
     lcm_lattice,
-    rank_integer,
-    rank_mod_p,
     rank_over,
     taylor_betti,
 )
 
+from _dense_rank import rank_integer, rank_mod_p
 from _fixtures import FIXTURE_DIR, fixture_ideal
 from _kpolynomial import euler_characteristics, k_polynomial
 
@@ -49,19 +48,51 @@ def test_field_primality_is_fast_and_exact():
         CoefficientField(2**89 - 1)
 
 
+def _sparse(dense):
+    return [{c: x for c, x in enumerate(row) if x} for row in dense]
+
+
 def test_rank_depends_on_characteristic():
-    rows = [[2, 0], [0, 2]]
-    assert rank_integer(rows, 2) == 2
-    assert rank_mod_p(rows, 2, 2) == 0
+    rows = [{0: 2}, {1: 2}]
     assert rank_over(rows, 2, RATIONALS) == 2
     assert rank_over(rows, 2, GF2) == 0
+    assert rank_over(rows, 2, CoefficientField(3)) == 2
 
 
 def test_rank_rectangular():
-    rows = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
-    assert rank_integer(rows, 3) == 2
-    assert rank_mod_p(rows, 3, 5) == 2
-    assert rank_integer([], 3) == 0
+    rows = [{0: 1, 1: 2, 2: 3}, {0: 2, 1: 4, 2: 6}, {1: 1, 2: 1}]
+    assert rank_over(rows, 3, RATIONALS) == 2
+    assert rank_over(rows, 3, CoefficientField(5)) == 2
+    assert rank_over([], 3, RATIONALS) == 0
+    assert rank_over([{}, {}], 3, GF2) == 0
+
+
+@pytest.mark.parametrize("p", [0, 2, 3, 2**61 - 1])
+def test_rank_over_matches_dense_references(p):
+    # Entries beyond +-1 make non-unit pivots and, over Q, a gcd to divide out;
+    # zero rows, duplicate rows and stored zero entries are mixed in.
+    rng = random.Random(20261018 + p)
+    field = CoefficientField(p)
+    for _ in range(300):
+        m, ncols = rng.randint(0, 9), rng.randint(0, 9)
+        density = rng.random()
+        dense = [
+            [rng.randint(-3, 5) if rng.random() < density else 0 for _ in range(ncols)]
+            for _ in range(m)
+        ]
+        if dense and rng.random() < 0.3:
+            dense.append(list(rng.choice(dense)))
+        if rng.random() < 0.3:
+            dense.insert(rng.randint(0, len(dense)), [0] * ncols)
+        rows = _sparse(dense)
+        zeros = [(i, c) for i, row in enumerate(dense) for c, x in enumerate(row) if not x]
+        if zeros and rng.random() < 0.3:
+            i, c = rng.choice(zeros)
+            rows[i][c] = 0
+        snapshot = [dict(r) for r in rows]
+        expected = rank_integer(dense, ncols) if p == 0 else rank_mod_p(dense, ncols, p)
+        assert rank_over(rows, ncols, field) == expected, (p, dense)
+        assert rows == snapshot  # the input rows are left as they were
 
 
 def _homology(n, facets, field=RATIONALS):
@@ -344,6 +375,14 @@ def test_taylor_matches_on_powers():
         assert tuple(taylor_betti(ideal_k, RATIONALS)) == betti_table(
             ideal_k, RATIONALS
         ).totals
+
+
+def test_taylor_runs_at_its_generator_cap():
+    # mixed6^2 has 16 generators, the default cap, so Taylor boundary maps
+    # reach 12,870 x 11,440; elimination on sparse rows keeps them tractable.
+    ideal = power(fixture_ideal("mixed6"), 2)
+    assert len(ideal.generators) == resolution_engine.DEFAULT_TAYLOR_CAP
+    assert taylor_betti(ideal, GF2) == betti_table(ideal, GF2).totals
 
 
 def test_taylor_generator_cap():

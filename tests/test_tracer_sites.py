@@ -11,10 +11,15 @@ checked to be called.
 import ast
 import importlib
 import importlib.util
+import math
 from pathlib import Path
+
+import pytest
 
 from bettipowers import resolution_engine
 from bettipowers.monomial_core import parse_ideal
+
+from _fixtures import fixture_ideal
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
@@ -58,3 +63,27 @@ def test_betti_table_calls_its_traced_layers(monkeypatch):
     assert resolution_engine.betti_table(ideal).totals == (1, 3, 2)
     assert calls["lcm_lattice"] == 1
     assert calls["_homology_dims_cached"] > 0
+
+
+@pytest.mark.parametrize(
+    "field, totals",
+    [
+        (resolution_engine.RATIONALS, (1, 10, 15, 6, 0, 0, 0)),
+        (resolution_engine.GF2, (1, 10, 15, 7, 1, 0, 0)),
+    ],
+)
+def test_taylor_betti_calls_rank_over_on_full_boundary_maps(monkeypatch, field, totals):
+    # The benchmark's rank.cells adds len(rows) * ncols over rank_over calls:
+    # the dense size of each Taylor boundary map, one row per generator subset.
+    cells = []
+    original = resolution_engine.rank_over
+
+    def counting(rows, ncols, F):
+        cells.append(len(rows) * ncols)
+        return original(rows, ncols, F)
+
+    monkeypatch.setattr(resolution_engine, "rank_over", counting)
+    assert resolution_engine.taylor_betti(fixture_ideal("rp2"), field) == totals
+    assert len(cells) == 9
+    assert sum(cells) == sum(math.comb(10, s) * math.comb(10, s - 1) for s in range(2, 11))
+    assert sum(cells) == 167950
