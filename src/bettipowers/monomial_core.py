@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
@@ -25,7 +26,7 @@ class IdealSyntaxError(ValueError):
 
 def divides(g: Sequence[int], u: Sequence[int]) -> bool:
     """Componentwise g <= u, i.e. the monomial x^g divides x^u."""
-    return all(a <= b for a, b in zip(g, u))
+    return all(map(operator.le, g, u))
 
 
 def minimalize(gens: Iterable[Sequence[int]]) -> tuple[ExponentVector, ...]:

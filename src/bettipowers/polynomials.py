@@ -1,6 +1,7 @@
 """Exact univariate polynomials over the rationals (coefficients lowest degree first)."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
@@ -80,11 +81,28 @@ class RationalPolynomial:
         return self.coefficients[-1]
 
     def __call__(self, x):
-        """Evaluate by Horner's rule; exact for int/Fraction, works for complex."""
-        acc = 0 if not isinstance(x, (int, Fraction)) else Fraction(0)
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
+        """Evaluate by Horner's rule; exact for int/Fraction, works for complex.
+
+        An int or Fraction x = p/q is evaluated in integers: Horner on the
+        numerators over one common denominator D, homogenised in q, gives
+        N = sum n_i p^i q^(d-i), and the value is the Fraction N / (D q^d).
+        """
+        if not isinstance(x, (int, Fraction)):
+            acc = 0
+            for c in reversed(self.coefficients):
+                acc = acc * x + c
+            return acc
+        coeffs = self.coefficients
+        if not coeffs:
+            return Fraction(0)
+        denominator = math.lcm(*(c.denominator for c in coeffs))
+        numerators = [c.numerator * (denominator // c.denominator) for c in reversed(coeffs)]
+        p, q = x.numerator, x.denominator
+        acc, qpow = 0, 1
+        for n in numerators:
+            acc = acc * p + n * qpow
+            qpow *= q
+        return Fraction(acc, denominator * qpow // q)
 
     def __add__(self, other: "RationalPolynomial") -> "RationalPolynomial":
         a, b = self.coefficients, other.coefficients

@@ -5,6 +5,8 @@ point step.  The finder is a simultaneous (Aberth-Ehrlich style) iteration
 with initial points on Newton-polygon circles, run under an exact conjugate
 pairing so that root sets of real polynomials stay symmetric; realness and
 root counts over intervals are certified separately by exact Sturm chains.
+A root locus sweeps all its powers of one reduced degree as one batch, with
+the same bits as one power at a time.
 """
 from __future__ import annotations
 
@@ -220,25 +222,27 @@ def _initial_points(
 
 def _horner_columns(coeffs: np.ndarray) -> list[np.ndarray]:
     # Coefficient columns, highest degree first, of the stacked rows p, p',
-    # q, q' with q(w) = w^m p(1/w).  Each derivative row gets a leading zero
-    # so that all four share one length; the zero step leaves Horner's
+    # q, q' with q(w) = w^m p(1/w), for a (K, m+1) batch of polynomials: each
+    # column has shape (4, K, 1).  Each derivative row gets a leading zero so
+    # that all four share one length; the zero step leaves Horner's
     # accumulator at exactly 0, so every row sees np.polyval's operations.
-    m = len(coeffs) - 1
+    m = coeffs.shape[1] - 1
     weights = np.arange(m, 0, -1)
-    rows = np.zeros((4, m + 1))
-    rows[0] = coeffs[::-1]
-    rows[1, 1:] = coeffs[:0:-1] * weights
+    rows = np.zeros((4,) + coeffs.shape)
+    rows[0] = coeffs[:, ::-1]
+    rows[1, :, 1:] = coeffs[:, :0:-1] * weights
     rows[2] = coeffs
-    rows[3, 1:] = coeffs[:-1] * weights
-    return [rows[:, j : j + 1] for j in range(m + 1)]
+    rows[3, :, 1:] = coeffs[:, :-1] * weights
+    return [rows[:, :, j : j + 1] for j in range(m + 1)]
 
 
 def _newton_corrections(columns: list[np.ndarray], z: np.ndarray) -> np.ndarray:
-    # p(z)/p'(z) from one Horner pass over all four rows, taken through the
-    # reversed polynomial at w = 1/z where |z| > 1 so that nothing overflows.
+    # p(z)/p'(z) for a (K, m) batch of iterates from one Horner pass over all
+    # four rows, taken through the reversed polynomial at w = 1/z where
+    # |z| > 1 so that nothing overflows.
     m = len(columns) - 1
     w = 1.0 / z
-    x = np.empty((4, len(z)), dtype=complex)
+    x = np.empty((4,) + z.shape, dtype=complex)
     x[:2] = z
     x[2:] = w
     y = np.zeros_like(x)
@@ -258,16 +262,28 @@ def _aberth_sweeps(
     max_iter: int,
     step_tol: float,
     residual_tol: float,
-) -> tuple[np.ndarray, bool]:
-    upper = [i for i, _ in pairs]
-    lower = [j for _, j in pairs]
+) -> tuple[np.ndarray, np.ndarray]:
+    # Simultaneous iteration on a (K, m) batch: row r holds the iterates of
+    # the polynomial coeffs[r], and every row shares one start layout.  A row
+    # leaves at the sweep where it would have left on its own, and the rows
+    # still running are compacted; nothing mixes rows, so each row's bits
+    # are those of a batch of one.  Returns the final iterates and, per row,
+    # whether they pass the residual gate.
+    out = np.empty_like(z)
+    accepted = np.zeros(len(z), dtype=bool)
+    running = np.arange(len(z))
+    real_slots = np.array(real_slots, dtype=np.intp)
+    upper = np.array([i for i, _ in pairs], dtype=np.intp)
+    lower = np.array([j for _, j in pairs], dtype=np.intp)
+    m = z.shape[1]
+    gate_below = max(step_tol, 1e-8)
     for _ in range(max_iter):
         with np.errstate(all="ignore"):
             absz = np.abs(z)
             newton = _newton_corrections(columns, z)
-            diff = z[:, None] - z[None, :]
-            np.fill_diagonal(diff, np.inf)
-            repulse = (1.0 / diff).sum(axis=1)
+            diff = z[:, :, None] - z[:, None, :]
+            diff.reshape(len(z), m * m)[:, :: m + 1] = np.inf
+            repulse = (1.0 / diff).sum(axis=2)
             step = newton / (1.0 - newton * repulse)
             bad = ~np.isfinite(step)
             if bad.any():
@@ -279,25 +295,39 @@ def _aberth_sweeps(
                 scale = np.where(mag > limit, limit / mag, 1.0)
             step = step * scale
         z = z - step
-        z[real_slots] = z[real_slots].real
-        avg = (z[upper] + z[lower].conj()) / 2.0
-        z[upper] = avg
-        z[lower] = avg.conj()
-        max_step = float(np.max(np.abs(step) / (1.0 + np.abs(z))))
+        z[:, real_slots] = z[:, real_slots].real
+        avg = (z[:, upper] + z[:, lower].conj()) / 2.0
+        z[:, upper] = avg
+        z[:, lower] = avg.conj()
+        max_step = np.max(np.abs(step) / (1.0 + np.abs(z)), axis=1)
         # Tiny steps alone are not convergence: collided points freeze the
         # iteration through the repulsion term, so acceptance always goes
         # through the residual gate.
-        if max_step < step_tol:
-            return z, bool((_scaled_residuals(coeffs, z) <= residual_tol).all())
-        if max_step < 1e-8 and (_scaled_residuals(coeffs, z) <= residual_tol).all():
-            return z, True
-    return z, bool((_scaled_residuals(coeffs, z) <= residual_tol).all())
+        if max_step.min() >= gate_below:
+            continue
+        done = max_step < step_tol
+        for r in np.flatnonzero(max_step < gate_below):
+            gate = (_scaled_residuals(coeffs[r], z[r]) <= residual_tol).all()
+            accepted[running[r]] = gate
+            done[r] |= gate
+        if done.any():
+            out[running[done]] = z[done]
+            keep = ~done
+            running, z, coeffs = running[keep], z[keep], coeffs[keep]
+            if not len(running):
+                return out, accepted
+            columns = [c[:, keep] for c in columns]
+    for r, row in enumerate(running):
+        accepted[row] = (_scaled_residuals(coeffs[r], z[r]) <= residual_tol).all()
+    out[running] = z
+    return out, accepted
 
 
 def _newton_polish(
     coeffs: np.ndarray, columns: list[np.ndarray], z: np.ndarray, iters: int = 4
 ) -> np.ndarray:
-    # Per-point Newton after the simultaneous phase.  Near-coincident
+    # Per-point Newton after the simultaneous phase, on one polynomial: a
+    # batch of one in columns, and its m iterates in z.  Near-coincident
     # partners freeze the collective steps through the repulsion term while
     # clustered roots are still far from evaluation-noise accuracy; plain
     # Newton closes that gap.  A point only moves when its residual improves,
@@ -307,7 +337,7 @@ def _newton_polish(
     cur = z.copy()
     for _ in range(iters):
         with np.errstate(all="ignore"):
-            nxt = cur - _newton_corrections(columns, cur)
+            nxt = cur - _newton_corrections(columns, cur[None])[0]
         moved = np.where(np.isfinite(nxt), nxt, cur)
         res = _scaled_residuals(coeffs, moved)
         improve = res < best_res
@@ -372,53 +402,95 @@ def find_roots(
     when every scaled residual |p(z)| / sum |c_i||z|^i is at most the
     tolerance; otherwise RootFindingError carries the best iterate.
     """
-    if isinstance(p, RationalPolynomial):
-        exact = p.coefficients
-    else:
-        exact = tuple(p)
-        while exact and exact[-1] == 0:
-            exact = exact[:-1]
-    if len(exact) < 2:
-        raise ValueError("root finding requires degree >= 1")
-    valuation = 0
-    while exact[valuation] == 0:
-        valuation += 1
-    zeros = [complex(0.0)] * valuation
-    coeffs = np.array([float(c) for c in exact[valuation:]], dtype=float)
-    coeffs /= coeffs[-1]
-    m = len(coeffs) - 1
-    if m == 0:
-        return sorted(zeros, key=lambda z: (z.real, z.imag))
-    if m == 1:
-        roots = zeros + [complex(-coeffs[0])]
-        return sorted(roots, key=lambda z: (z.real, z.imag))
-    if m == 2:
-        roots = zeros + _quadratic_roots(coeffs[0], coeffs[1], coeffs[2])
-        return sorted(roots, key=lambda z: (z.real, z.imag))
-    radii = _newton_polygon_radii(coeffs)
-    columns = _horner_columns(coeffs)
-    z0, real_slots, pairs = _initial_points(radii, symmetric=True)
-    z, ok = _aberth_sweeps(
-        coeffs, columns, z0, real_slots, pairs, max_iter, step_tol, residual_tol
-    )
-    if ok:
-        z = _newton_polish(coeffs, columns, z)
-    if not ok or not _cluster_consistent(coeffs, z):
-        z0, _, _ = _initial_points(radii, symmetric=False)
-        z, _ = _aberth_sweeps(
-            coeffs, columns, z0, [], [], max_iter, step_tol, residual_tol
+    return _find_roots_batch([p], max_iter, step_tol, residual_tol)[0]
+
+
+def _find_roots_batch(
+    polys: Sequence[Union[RationalPolynomial, Sequence[float]]],
+    max_iter: int,
+    step_tol: float,
+    residual_tol: float,
+) -> list[list[complex]]:
+    # find_roots for each polynomial in turn.  The symmetric sweeps of all
+    # polynomials of one reduced degree m >= 3 run as one batch; polish,
+    # the cluster check and the asymmetric fallback then run per polynomial
+    # in order, so the first one that fails raises.
+    reduced = []
+    for p in polys:
+        if isinstance(p, RationalPolynomial):
+            exact = p.coefficients
+        else:
+            exact = tuple(p)
+            while exact and exact[-1] == 0:
+                exact = exact[:-1]
+        if len(exact) < 2:
+            raise ValueError("root finding requires degree >= 1")
+        valuation = 0
+        while exact[valuation] == 0:
+            valuation += 1
+        coeffs = np.array([float(c) for c in exact[valuation:]], dtype=float)
+        coeffs /= coeffs[-1]
+        reduced.append((valuation, coeffs))
+    by_degree: dict[int, list[int]] = {}
+    for i, (_, coeffs) in enumerate(reduced):
+        if len(coeffs) > 3:
+            by_degree.setdefault(len(coeffs) - 1, []).append(i)
+    swept = {}
+    for rows in by_degree.values():
+        coeffs = np.array([reduced[i][1] for i in rows])
+        radii = [_newton_polygon_radii(c) for c in coeffs]
+        starts = [_initial_points(r, symmetric=True) for r in radii]
+        # The real slots and conjugate pairs depend only on m.
+        _, real_slots, pairs = starts[0]
+        z0 = np.array([z for z, _, _ in starts])
+        columns = _horner_columns(coeffs)
+        z, ok = _aberth_sweeps(
+            coeffs, columns, z0, real_slots, pairs, max_iter, step_tol, residual_tol
         )
-        z = np.array(_pair_output(_newton_polish(coeffs, columns, z)), dtype=complex)
-        residuals = _scaled_residuals(coeffs, z)
-        if not (residuals <= residual_tol).all() or not _cluster_consistent(coeffs, z):
-            raise RootFindingError(
-                f"no convergence after {max_iter} iterations "
-                f"(worst residual {float(residuals.max()):.3e})",
-                list(z),
-                [float(r) for r in residuals],
+        swept.update(zip(rows, zip(radii, z, ok)))
+    return [
+        _finish_roots(valuation, coeffs, swept.get(i), max_iter, step_tol, residual_tol)
+        for i, (valuation, coeffs) in enumerate(reduced)
+    ]
+
+
+def _finish_roots(
+    valuation: int,
+    coeffs: np.ndarray,
+    swept: Optional[tuple],
+    max_iter: int,
+    step_tol: float,
+    residual_tol: float,
+) -> list[complex]:
+    # Degrees 1 and 2 by closed form; otherwise polish the swept roots, or
+    # sweep again from an asymmetric start when they fail the checks.
+    m = len(coeffs) - 1
+    rest = []
+    if m == 1:
+        rest = [complex(-coeffs[0])]
+    elif m == 2:
+        rest = _quadratic_roots(coeffs[0], coeffs[1], coeffs[2])
+    elif m > 2:
+        radii, z, ok = swept
+        columns = _horner_columns(coeffs[None])
+        if ok:
+            z = _newton_polish(coeffs, columns, z)
+        if not ok or not _cluster_consistent(coeffs, z):
+            z0, _, _ = _initial_points(radii, symmetric=False)
+            z, _ = _aberth_sweeps(
+                coeffs[None], columns, z0[None], [], [], max_iter, step_tol, residual_tol
             )
-    roots = zeros + [complex(v.real + 0.0, v.imag + 0.0) for v in z]
-    return sorted(roots, key=lambda c: (c.real, c.imag))
+            z = np.array(_pair_output(_newton_polish(coeffs, columns, z[0])), dtype=complex)
+            residuals = _scaled_residuals(coeffs, z)
+            if not (residuals <= residual_tol).all() or not _cluster_consistent(coeffs, z):
+                raise RootFindingError(
+                    f"no convergence after {max_iter} iterations "
+                    f"(worst residual {float(residuals.max()):.3e})",
+                    list(z),
+                    [float(r) for r in residuals],
+                )
+        rest = [complex(v.real + 0.0, v.imag + 0.0) for v in z]
+    return sorted([complex(0.0)] * valuation + rest, key=lambda c: (c.real, c.imag))
 
 
 # ---------------------------------------------------------------------------
@@ -574,9 +646,9 @@ def root_locus(
     residuals: dict[int, tuple[float, ...]] = {}
     escape: dict[int, Optional[int]] = {}
     prev: Optional[list[complex]] = None
-    for k in ks:
-        poly = betti_polynomial_at(profile, k, allow_unstabilized=True)
-        found = find_roots(poly, max_iter=max_iter, residual_tol=residual_tol)
+    polys = [betti_polynomial_at(profile, k, allow_unstabilized=True) for k in ks]
+    found_by_k = _find_roots_batch(polys, max_iter, DEFAULT_STEP_TOL, residual_tol)
+    for k, poly, found in zip(ks, polys, found_by_k):
         ordered = found if prev is None else _match_order(prev, found)
         prev = ordered
         coeffs = np.array([float(c) for c in poly.coefficients])

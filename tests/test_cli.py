@@ -1,9 +1,10 @@
 """Command-line interface: outputs, exit codes, and determinism."""
+import functools
 import json
 
 import pytest
 
-from bettipowers import cli
+from bettipowers import cli, spectra
 from bettipowers.cli import main
 from bettipowers.monomial_core import power, product
 from bettipowers.resolution_engine import CoefficientField, betti_table
@@ -214,6 +215,14 @@ def test_usage_errors_exit_one(capsys):
     assert "prime" in capsys.readouterr().err
     code, out, err = _run(capsys, ["roots", "--regular-sequence", "1"])
     assert code == 1 and out == "" and "N >= 2" in err
+
+
+def test_root_finding_failure_exits_two(capsys, monkeypatch):
+    # The CLI has no iteration option; a one-sweep limit makes the locus fail.
+    monkeypatch.setattr(cli, "root_locus", functools.partial(spectra.root_locus, max_iter=1))
+    code, out, err = _run(capsys, ["roots", "--regular-sequence", "5", "--kmax", "3"])
+    assert code == 2 and out == ""
+    assert "error:" in err and "no convergence after 1 iterations" in err
 
 
 def test_computation_errors_exit_two(capsys, tmp_path):

@@ -96,6 +96,34 @@ def test_call_is_exact():
     assert isinstance(value, Fraction)
 
 
+def test_call_matches_fraction_horner():
+    # Integer and Fraction points are evaluated in integers over one common
+    # denominator; the value must be the Fraction that plain Horner gives.
+    def horner(p, x):
+        acc = Fraction(0)
+        for c in reversed(p.coefficients):
+            acc = acc * x + c
+        return acc
+
+    rng = random.Random(20261018)
+    polys = [RationalPolynomial.zero(), RationalPolynomial.constant(Fraction(-5, 3))]
+    for _ in range(60):
+        degree = rng.randint(0, 8)
+        polys.append(
+            RationalPolynomial.from_coefficients(
+                [Fraction(rng.randint(-40, 40), rng.randint(1, 12)) for _ in range(degree + 1)]
+            )
+        )
+    points = [0, 1, -1, 7, -13, 10**12, Fraction(1, 2), Fraction(-7, 3), Fraction(22, 15)]
+    points += [Fraction(rng.randint(-50, 50), rng.randint(1, 30)) for _ in range(10)]
+    for p in polys:
+        for x in points:
+            value = p(x)
+            assert type(value) is Fraction
+            assert value == horner(p, x), (p, x)
+    assert polys[0](Fraction(-7, 3)) == 0 and polys[0](4) == 0
+
+
 def test_divmod_exact():
     p = RationalPolynomial.from_coefficients([-2, 1]) * RationalPolynomial.from_coefficients(
         [5, 3]

@@ -188,39 +188,129 @@ def _newton_polish_reference(coeffs, z, iters=4):
     return best
 
 
-def _assert_sweeps_match_reference(exact, symmetric):
-    coeffs = np.array([float(c) for c in exact])
-    coeffs /= coeffs[-1]
-    radii = spectra._newton_polygon_radii(coeffs)
-    z0, real_slots, pairs = spectra._initial_points(radii, symmetric=symmetric)
+def _assert_sweeps_match_reference(polys, symmetric):
+    # One batch over same-degree polynomials: every row, and each polynomial
+    # run alone as a batch of one, must equal the reference run of that
+    # polynomial bit for bit, and so must the polish after it.
+    coeffs = np.array([[float(c) for c in exact] for exact in polys])
+    coeffs /= coeffs[:, -1:]
+    starts = [
+        spectra._initial_points(spectra._newton_polygon_radii(c), symmetric=symmetric)
+        for c in coeffs
+    ]
+    _, real_slots, pairs = starts[0]
+    z0 = np.array([z for z, _, _ in starts])
     rest = (real_slots, pairs, DEFAULT_MAX_ITER, DEFAULT_STEP_TOL, DEFAULT_RESIDUAL_TOL)
-    columns = spectra._horner_columns(coeffs)
-    want, want_ok = _aberth_reference(coeffs, z0, *rest)
-    got, got_ok = spectra._aberth_sweeps(coeffs, columns, z0, *rest)
-    assert got_ok == want_ok
-    assert np.array_equal(got, want)
-    polished = spectra._newton_polish(coeffs, columns, got)
-    assert np.array_equal(polished, _newton_polish_reference(coeffs, want))
+    batch, batch_ok = spectra._aberth_sweeps(coeffs, spectra._horner_columns(coeffs), z0, *rest)
+    for row, c in enumerate(coeffs):
+        columns = spectra._horner_columns(c[None])
+        want, want_ok = _aberth_reference(c, z0[row], *rest)
+        alone, alone_ok = spectra._aberth_sweeps(c[None], columns, z0[row : row + 1], *rest)
+        for got, got_ok in ((batch[row], batch_ok[row]), (alone[0], alone_ok[0])):
+            assert got_ok == want_ok
+            assert np.array_equal(got, want)
+        polished = spectra._newton_polish(c, columns, batch[row])
+        assert np.array_equal(polished, _newton_polish_reference(c, want))
 
 
 def test_aberth_sweeps_match_reference_on_regular_sequence():
-    # k=1 is (1+t)^20, whose roots end as a noise ring after all sweeps;
-    # k=2 leaves at the residual gate; k=5 and k=20 run every sweep.
+    # One batch of four rows that leave at different sweeps: k=1 is (1+t)^20,
+    # whose roots end as a noise ring after all sweeps; k=2 leaves at the
+    # residual gate; k=5 and k=20 run every sweep.
     profile = closed_form_profile(20)
-    for k in (1, 2, 5, 20):
-        _assert_sweeps_match_reference(betti_polynomial_at(profile, k).coefficients, True)
+    polys = [betti_polynomial_at(profile, k).coefficients for k in (1, 2, 5, 20)]
+    _assert_sweeps_match_reference(polys, True)
 
 
 def test_aberth_sweeps_match_reference_on_random_polynomials():
-    # Between them these runs leave by all three exits: the step tolerance,
-    # the residual gate and the sweep limit.
+    # The polynomials of each degree run as one batch; between them these
+    # runs leave by all three exits: the step tolerance, the residual gate
+    # and the sweep limit.
     rng = random.Random(20261018)
+    by_degree = {}
     for _ in range(50):
         degree = rng.randint(3, 9)
         coeffs = [rng.choice((-1, 1)) * rng.randint(1, 9)]
         coeffs += [rng.randint(-9, 9) for _ in range(degree - 1)] + [rng.randint(1, 9)]
+        by_degree.setdefault(degree, []).append(coeffs)
+    for polys in by_degree.values():
         for symmetric in (True, False):
-            _assert_sweeps_match_reference(coeffs, symmetric)
+            _assert_sweeps_match_reference(polys, symmetric)
+
+
+def _locus_csv_one_k_at_a_time(profile, ks):
+    # root_locus as a loop of find_roots calls, one k at a time, followed by
+    # trajectory matching and the escape rule.
+    lines = ["k,root_index,re,im,trajectory_id,is_escape"]
+    prev = None
+    for k in ks:
+        found = find_roots(betti_polynomial_at(profile, k, allow_unstabilized=True))
+        ordered = found if prev is None else spectra._match_order(prev, found)
+        prev = ordered
+        esc = None
+        real_idx = [t for t, z in enumerate(ordered) if z.imag == 0.0]
+        if real_idx:
+            t_big = max(real_idx, key=lambda t: abs(ordered[t]))
+            others = [abs(z) for t, z in enumerate(ordered) if t != t_big]
+            if not others or abs(ordered[t_big]) > 2.0 * max(others):
+                esc = t_big
+        for t, z in enumerate(ordered):
+            lines.append(f"{k},{t},{z.real!r},{z.imag!r},{t},{1 if esc == t else 0}")
+    return "\n".join(lines) + "\n"
+
+
+def _mixed_degree_profile():
+    # P(k,t) = t^5 + 2t^4 + 3t^3 + 3(k-1)t^2 + (k-1)t + (k-1)(k-2): at k=1 the
+    # reduced degree is 2 (closed form), at k=2 it is 4, and from k=3 on it is 5.
+    k = _poly(0, 1)
+    one = RationalPolynomial.constant(1)
+    return KodiyalamProfile(
+        polynomials=(
+            one,
+            RationalPolynomial.constant(2),
+            RationalPolynomial.constant(3),
+            (k - one).scale(3),
+            k - one,
+            (k - one) * (k - one.scale(2)),
+        ),
+        k0=1,
+        apd=5,
+        ell=1,
+        bigK=0,
+        multiplicities=(),
+        column_thresholds=(1,) * 6,
+    )
+
+
+def test_mixed_degree_profile_groups():
+    # Valuations 3, 1, 0, 0: reduced degrees 2, 4, 5 and 5.
+    for k, valuation in ((1, 3), (2, 1), (3, 0), (9, 0)):
+        coeffs = betti_polynomial_at(_mixed_degree_profile(), k).coefficients
+        assert all(c == 0 for c in coeffs[:valuation]) and coeffs[valuation] != 0
+
+
+@pytest.mark.parametrize(
+    "profile",
+    [closed_form_profile(4), closed_form_profile(10), _mixed_degree_profile()],
+    ids=["regseq4", "regseq10", "mixed-degree"],
+)
+def test_root_locus_batch_equals_one_k_at_a_time(profile):
+    ks = range(1, 13)
+    assert root_locus(profile, ks).to_csv() == _locus_csv_one_k_at_a_time(profile, ks)
+
+
+def test_root_locus_raises_for_the_first_failing_k():
+    # k=1 has a closed form and cannot fail, and k=2 fails after one sweep,
+    # so the locus must raise at k=2 with the error find_roots gives on it.
+    profile = _mixed_degree_profile()
+    with pytest.raises(RootFindingError) as err:
+        root_locus(profile, range(1, 6), max_iter=1)
+    with pytest.raises(RootFindingError) as alone:
+        find_roots(betti_polynomial_at(profile, 2), max_iter=1)
+    assert len(err.value.roots) == 4
+    assert str(err.value) == str(alone.value)
+    assert err.value.roots == alone.value.roots
+    assert err.value.residuals == alone.value.residuals
 
 
 def test_sturm_counts_and_intervals():

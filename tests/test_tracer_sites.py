@@ -6,7 +6,7 @@ object; the output checks in perfbench/ import package names directly.
 Checking both here makes a refactor that drops one fail the tests instead of
 the benchmark.  A layer the package stops calling through its traced name
 would read 0 in the benchmark, so the Betti engine's traced layers are also
-checked to be called.
+checked to be called, and so are the root finder's.
 """
 import ast
 import importlib
@@ -16,7 +16,8 @@ from pathlib import Path
 
 import pytest
 
-from bettipowers import resolution_engine
+from bettipowers import resolution_engine, spectra
+from bettipowers.asymptotics import closed_form_profile
 from bettipowers.monomial_core import parse_ideal
 
 from _fixtures import fixture_ideal
@@ -63,6 +64,23 @@ def test_betti_table_calls_its_traced_layers(monkeypatch):
     assert resolution_engine.betti_table(ideal).totals == (1, 3, 2)
     assert calls["lcm_lattice"] == 1
     assert calls["_homology_dims_cached"] > 0
+
+
+def test_root_locus_calls_its_traced_layers(monkeypatch):
+    # One batch sweep over the whole locus, then one polish per k (this
+    # profile needs no fallback).
+    calls = {"_aberth_sweeps": 0, "_newton_polish": 0}
+    for attr in calls:
+        original = getattr(spectra, attr)
+
+        def counting(*args, _attr=attr, _original=original, **kwargs):
+            calls[_attr] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(spectra, attr, counting)
+    locus = spectra.root_locus(closed_form_profile(6), range(1, 9))
+    assert locus.degree == 6
+    assert calls == {"_aberth_sweeps": 1, "_newton_polish": 8}
 
 
 @pytest.mark.parametrize(
