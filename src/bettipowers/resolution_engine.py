@@ -21,8 +21,9 @@ from .monomial_core import ExponentVector, MonomialIdeal
 
 DEFAULT_LATTICE_CAP = 1 << 20
 DEFAULT_TAYLOR_CAP = 16
-# Elements that one batch holds at a time: points x generators x variables
-# in the lattice closure, points x generators in the face assembly.
+# Batch size in elements.  A face-assembly batch takes _CHUNK_CELLS //
+# generators points and a lattice-closure batch _CHUNK_CELLS // (generators x
+# variables); the temporaries of both are points x generators.
 _CHUNK_CELLS = 1 << 15
 
 
@@ -186,22 +187,25 @@ def _homology_dims_cached(
     return tuple(counts[i] - rank[i] - rank[i + 1] for i in range(n + 1))
 
 
-def lcm_lattice(
-    I: MonomialIdeal, max_size: int = DEFAULT_LATTICE_CAP
-) -> list[ExponentVector]:
-    """Join-closure of the generators under componentwise max, sorted.
+def lcm_lattice(I: MonomialIdeal, max_size: int = DEFAULT_LATTICE_CAP) -> np.ndarray:
+    """Join-closure of the generators under componentwise max.
 
-    Every multidegree with a nonzero Betti number in homological index >= 1
-    lies in this set.  Raises ResourceLimitError beyond max_size elements.
+    Returns an (N, n) int64 array with one exponent vector per row, the rows
+    in lexicographic order.  Every multidegree with a nonzero Betti number in
+    homological index >= 1 lies in this set.  Raises ResourceLimitError
+    beyond max_size elements, or when an exponent does not fit in int64.
     """
     gens = I.generators
+    top = max(max(g) for g in gens)
+    if top >= 1 << 63:
+        raise ResourceLimitError(f"exponent {top} is beyond the engine's 64-bit range")
     # Every coordinate of a join is some generator's value there, so each
     # point is coded by the ranks of its coordinates among those values,
     # packed into one mixed-radix key whose order is lexicographic order.
     values = [sorted(set(column)) for column in zip(*gens)]
     radices = [len(v) for v in values]
     if math.prod(radices) >= 1 << 63:
-        return _lcm_lattice_python(I, max_size)
+        return np.array(_lcm_lattice_python(I, max_size), dtype=np.int64)
     weights = np.array(
         [math.prod(radices[j + 1:]) for j in range(len(radices))], dtype=np.int64
     )
@@ -209,24 +213,33 @@ def lcm_lattice(
     R = np.array(
         [[rank[e] for rank, e in zip(rank_of, g)] for g in gens], dtype=np.int64
     )
+    # Max commutes with scaling by a positive weight, so the key of a join is
+    # the sum over j of max(f_j * w_j, g_j * w_j): one 2-D maximum per variable
+    # on the weighted columns, each sum below the radix product.
+    weighted = (R * weights).T.copy()
     keys = R @ weights
     keys.sort()
     # runs: disjoint sorted arrays holding every key found, each more than
     # twice as long as the next, so a chunk is checked against O(log) arrays
-    # and every key is re-sorted O(log) times; pending: found keys not yet
-    # joined with the generators.
+    # and every key is re-sorted O(log) times; pending: found points not yet
+    # joined with the generators, as weighted columns.
     runs = [keys]
-    pending = [keys]
+    pending = [weighted]
     count = len(keys)
     step = max(1, _CHUNK_CELLS // R.size)
+    scale, radix = weights[:, None], np.array(radices)[:, None]
     while pending:
-        frontier = pending.pop()[:, None] // weights % radices
-        for start in range(0, len(frontier), step):
-            joins = (np.maximum(frontier[start:start + step, None, :], R) @ weights).ravel()
+        frontier = pending.pop()
+        for start in range(0, frontier.shape[1], step):
+            block = frontier[:, start:start + step, None]
+            joins = np.maximum(block[0], weighted[0])
+            for f, w in zip(block[1:], weighted[1:]):
+                joins += np.maximum(f, w)
+            joins = joins.ravel()
             joins.sort()
             new = joins[np.concatenate(([True], joins[1:] != joins[:-1]))]
             for run in runs:
-                at = np.searchsorted(run, new)
+                at = run.searchsorted(new)
                 at[at == len(run)] = 0
                 new = new[run[at] != new]
             if not len(new):
@@ -235,18 +248,19 @@ def lcm_lattice(
             if count > max_size:
                 raise ResourceLimitError(f"lcm lattice exceeds cap of {max_size} elements")
             runs.append(new)
-            pending.append(new)
+            pending.append(new // scale % radix * scale)
             while len(runs) > 1 and len(runs[-2]) <= 2 * len(runs[-1]):
                 merged = np.concatenate((runs.pop(-2), runs.pop()))
                 merged.sort()
                 runs.append(merged)
     keys = np.concatenate(runs)
     keys.sort()
-    columns = [
-        list(map(vals.__getitem__, (keys // w % r).tolist()))
-        for vals, w, r in zip(values, weights.tolist(), radices)
-    ]
-    return list(zip(*columns))
+    # One column at a time: an (N, n) array of codes raised the peak memory
+    # of `profile mixed6 --kmax 8` by about 0.5 MiB.
+    lattice = np.empty((len(keys), len(values)), dtype=np.int64)
+    for j, (vals, w, r) in enumerate(zip(values, weights.tolist(), radices)):
+        lattice[:, j] = np.array(vals, dtype=np.int64)[keys // w % r]
+    return lattice
 
 
 def _lcm_lattice_python(
@@ -274,31 +288,37 @@ def _lcm_lattice_python(
 
 
 def _upper_koszul_faces(
-    G: np.ndarray, points: Sequence[ExponentVector]
+    G: np.ndarray, points: np.ndarray
 ) -> Iterator[tuple[int, tuple[int, ...]]]:
     # The upper Koszul complex at a point a has the squarefree s with x^(a-s)
     # in the ideal as faces: one full simplex on {j : g_j < a_j} per generator
     # g dividing x^a (the rows of G).  It is a single nonempty simplex, so
     # contractible, exactly when the OR of these masks is one of them and is
     # not 0.  Numpy finds those points, and only the others are yielded, as
-    # (index into points, maximal faces): 2,714 of the 42,047 points of
+    # (row of points, maximal faces): 2,714 of the 42,047 points of
     # `profile mixed6 --kmax 8`.  D (g divides x^a) and M (the mask, 0 where g
     # does not divide) are points x generators, built one variable at a time.
-    # Points become an array one chunk at a time: one array of the whole
-    # lattice raised the peak memory of `profile mixed6 --kmax 8` by about 0.7 MiB.
+    # The comparisons run in the narrowest unsigned dtype that holds every
+    # exponent of G and of points, and M in the narrowest that holds n bits.
+    n = G.shape[1]
+    exponents = np.min_scalar_type(max(int(G.max()), int(points.max(initial=0))))
+    masks = np.min_scalar_type((1 << n) - 1)
+    GT = G.T.astype(exponents)
+    PT = points.T.astype(exponents)[:, :, None]
+    bits = [masks.type(1 << j) for j in range(n)]
     step = max(1, _CHUNK_CELLS // len(G))
     for start in range(0, len(points), step):
-        P = np.array(points[start:start + step], dtype=np.int64)
-        D = np.ones((len(P), len(G)), dtype=bool)
-        M = np.zeros((len(P), len(G)), dtype=np.int64)
-        for j in range(G.shape[1]):
-            D &= G[:, j] <= P[:, j, None]
-            M |= (G[:, j] < P[:, j, None]) * (1 << j)
+        P = PT[:, start:start + step]
+        D = GT[0] <= P[0]
+        M = (GT[0] < P[0]) * bits[0]
+        for g, p, bit in zip(GT[1:], P[1:], bits[1:]):
+            D &= g <= p
+            M |= (g < p) * bit
         M *= D
         join = np.bitwise_or.reduce(M, axis=1)
         simplex = (join != 0) & (M == join[:, None]).any(axis=1)
-        rest = np.flatnonzero(~simplex)
-        rows = np.where(D[rest], M[rest], -1).tolist()
+        rest = (~simplex).nonzero()[0]
+        rows = np.where(D[rest], M[rest].astype(np.int64), -1).tolist()
         for i, row in zip((rest + start).tolist(), rows):
             yield i, _maximal_masks(mask for mask in row if mask >= 0)
 
@@ -337,9 +357,6 @@ def betti_table(
     n = I.nvars
     if n > 63:
         raise ResourceLimitError(f"{n} variables exceed the engine's limit of 63")
-    top = max(max(g) for g in I.generators)
-    if top >= 1 << 63:
-        raise ResourceLimitError(f"exponent {top} is beyond the engine's 64-bit range")
     lattice = lcm_lattice(I, max_size=lattice_cap)
     G = np.array(I.generators, dtype=np.int64)
     entries: dict[tuple[int, ExponentVector], int] = {(0, (0,) * n): 1}
@@ -347,7 +364,7 @@ def betti_table(
     totals[0] = 1
     char = F.characteristic
     for p, maximal in _upper_koszul_faces(G, lattice):
-        a = lattice[p]
+        a = tuple(lattice[p].tolist())
         dims = _homology_dims_cached(n, maximal, char)
         for idx, d in enumerate(dims):
             if d:

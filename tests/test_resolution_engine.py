@@ -1,4 +1,5 @@
 """Exact rank computation, simplicial homology, and the Betti table engine."""
+import math
 import random
 import time
 
@@ -142,26 +143,33 @@ def test_antichain_of_maximal_faces():
     assert _maximal_masks([]) == ()
 
 
+def _rows(lattice):
+    # The rows of an lcm_lattice array as exponent tuples.
+    assert lattice.dtype == np.int64 and lattice.ndim == 2
+    return list(map(tuple, lattice.tolist()))
+
+
 def test_lcm_lattice_small():
     ideal = parse_ideal("vars: x y; gens: x, y")
-    assert lcm_lattice(ideal) == [(0, 1), (1, 0), (1, 1)]
+    assert _rows(lcm_lattice(ideal)) == [(0, 1), (1, 0), (1, 1)]
     with pytest.raises(ResourceLimitError):
         lcm_lattice(fixture_ideal("mixed6"), max_size=3)
 
 
 def _lattice_or_error(lattice, ideal, cap):
     try:
-        return lattice(ideal, cap)
+        result = lattice(ideal, cap)
+        return result if isinstance(result, list) else _rows(result)
     except ResourceLimitError as err:
         return str(err)
 
 
 def _assert_lattice_matches_reference(ideal):
     expected = _lcm_lattice_python(ideal)
-    assert lcm_lattice(ideal) == expected
+    assert _rows(lcm_lattice(ideal)) == expected
     # The cap admits a lattice of exactly max_size points, and rejects a
     # larger one as soon as a join is added beyond it.
-    assert lcm_lattice(ideal, len(expected)) == expected
+    assert _rows(lcm_lattice(ideal, len(expected))) == expected
     cap = len(expected) - 1
     assert _lattice_or_error(lcm_lattice, ideal, cap) == _lattice_or_error(
         _lcm_lattice_python, ideal, cap
@@ -207,8 +215,51 @@ def test_lcm_lattice_wide_keys_use_the_reference(monkeypatch):
         return _lcm_lattice_python(I, max_size)
 
     monkeypatch.setattr(resolution_engine, "_lcm_lattice_python", counting)
-    assert lcm_lattice(ideal) == expected
+    assert _rows(lcm_lattice(ideal)) == expected
     assert calls == [ideal]
+
+
+def test_lcm_lattice_rejects_exponents_beyond_int64(monkeypatch):
+    # One exponent of 2^63 on the int64-key path, then on the wide-key path
+    # (3^40 > 2^63 keys), which must not reach the reference either.
+    narrow = MonomialIdeal.from_generators(["x", "y"], [(2**63, 0), (0, 1)])
+    gens = [tuple((j + shift) % 3 for j in range(40)) for shift in range(3)]
+    gens[0] = (2**63,) + gens[0][1:]
+    wide = MonomialIdeal.from_generators([f"x{i}" for i in range(40)], gens)
+    calls = []
+
+    def counting(I, max_size):
+        calls.append(I)
+        return _lcm_lattice_python(I, max_size)
+
+    monkeypatch.setattr(resolution_engine, "_lcm_lattice_python", counting)
+    message = f"exponent {2**63} is beyond the engine's 64-bit range"
+    for ideal in (narrow, wide):
+        with pytest.raises(ResourceLimitError) as err:
+            lcm_lattice(ideal)
+        assert str(err.value) == message
+        with pytest.raises(ResourceLimitError) as err:
+            betti_table(ideal)
+        assert str(err.value) == message
+    assert calls == []
+    # The largest int64 exponent still fits.
+    top = MonomialIdeal.from_generators(["x", "y"], [(2**63 - 1, 0), (0, 1)])
+    assert _rows(lcm_lattice(top)) == _lcm_lattice_python(top)
+
+
+def test_lcm_lattice_keys_near_the_int64_limit():
+    # Two values in each of 62 coordinates: the radix product is 2^62, so the
+    # int64-key path runs, and the join of all generators has key 2^62 - 1.
+    n = 62
+    top = [1 if j < n // 2 else 2**62 - j for j in range(n)]
+    patterns = [lambda j: j % 2, lambda j: j % 2 == 0, lambda j: j % 4 < 2, lambda j: j < 40]
+    gens = [tuple(top[j] if on(j) else 0 for j in range(n)) for on in patterns]
+    ideal = MonomialIdeal.from_generators([f"x{i}" for i in range(n)], gens)
+    radices = [len(set(column)) for column in zip(*ideal.generators)]
+    assert math.prod(radices) == 2**62
+    expected = _lcm_lattice_python(ideal)
+    assert len(expected) > len(ideal.generators)
+    assert _rows(lcm_lattice(ideal)) == expected
 
 
 def test_lcm_lattice_cap_far_below_the_lattice():
@@ -245,7 +296,7 @@ def _assert_faces_match_reference(ideal, points):
     indices = [i for i, _ in faces]
     assert indices == sorted(set(indices))
     yielded = dict(faces)
-    for i, a in enumerate(points):
+    for i, a in enumerate(points.tolist()):
         expected = _upper_koszul_reference(ideal, a)
         if i in yielded:
             assert yielded[i] == expected, a
@@ -259,12 +310,12 @@ def test_upper_koszul_complex_matches_definition():
     for name, k in (("mixed6", 2), ("rp2", 1), ("msquare2", 3), ("mixed6", 4)):
         ideal = power(fixture_ideal(name), k)
         zero, ones = (0,) * ideal.nvars, (1,) * ideal.nvars
-        points = lcm_lattice(ideal) + [zero, ones]
+        points = np.vstack((lcm_lattice(ideal), [zero, ones]))
         yielded = _assert_faces_match_reference(ideal, points)
         # A generator's own complex is the empty face alone (mask 0), and a
         # point no generator divides has the void complex.
         for g in ideal.generators:
-            assert yielded[points.index(g)] == (0,)
+            assert yielded[_rows(points).index(g)] == (0,)
         assert yielded[len(points) - 2] == ()
         skipped += len(points) - len(yielded)
     assert skipped > 0
@@ -273,12 +324,44 @@ def test_upper_koszul_complex_matches_definition():
     rng = random.Random(20092)
     for ideal in _random_ideals(rng, 100, 3, 6):
         extra = tuple(rng.randint(0, 4) for _ in range(ideal.nvars))
-        _assert_faces_match_reference(ideal, lcm_lattice(ideal) + [extra])
+        _assert_faces_match_reference(ideal, np.vstack((lcm_lattice(ideal), [extra])))
+
+
+def test_upper_koszul_faces_narrow_dtypes():
+    # The comparisons run in the narrowest dtype that holds every exponent of
+    # the generators and the points; a generator exponent of 256 would wrap
+    # to 0 in uint8 and divide points it does not divide.
+    def check(ideal, points):
+        _assert_faces_match_reference(ideal, np.array(points, dtype=np.int64))
+
+    wrap = MonomialIdeal.from_generators(["x", "y"], [(256, 0), (0, 1)])
+    faces = list(_upper_koszul_faces(_generator_matrix(wrap), np.array([(1, 0), (0, 0)])))
+    assert faces == [(0, ()), (1, ())]
+    check(wrap, [(1, 0), (0, 0), (255, 0), (255, 1), (256, 1), (257, 2)])
+    for top in (255, 256, 65535, 65536):
+        ideal = MonomialIdeal.from_generators(
+            ["x", "y", "z"], [(top, 0, 0), (0, top - 1, 1), (1, 1, top)]
+        )
+        lattice = _rows(lcm_lattice(ideal))
+        below = [(top - 1, 0, 0), (0, top - 2, 0), (1, 0, top)]
+        above = [(top + 1, top, top), (top, top - 1, top + 1)]
+        check(ideal, lattice + below + above)
+        # Only the points exceed the generators' range.
+        check(ideal, [(top + 256, 0, 0), (65536, top - 1, 1), (2**32, 1, top)])
+    # n = 8 masks fit in uint8, n = 9 need uint16: variable 8's bit must stay.
+    rng = random.Random(20094)
+    for n in (8, 9):
+        gens = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        gens.append(tuple(rng.randint(0, 2) for _ in range(n)))
+        ideal = MonomialIdeal.from_generators([f"x{i}" for i in range(n)], gens)
+        points = _rows(lcm_lattice(ideal))
+        points += [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(50)]
+        check(ideal, points)
 
 
 def test_upper_koszul_complex_detects_syzygy():
     m2 = parse_ideal("vars: x y; gens: x^2, x*y, y^2")
-    points = [(2, 1), (1, 0), (2, 2), (2, 0)]
+    points = np.array([(2, 1), (1, 0), (2, 2), (2, 0)])
     faces = list(_upper_koszul_faces(_generator_matrix(m2), points))
     # x^2 y: two disconnected vertices; x: no generator divides it; x^2 y^2:
     # the masks of x^2, y^2 lie in that of xy, a full edge, so it is skipped;
@@ -304,6 +387,19 @@ def test_only_points_that_reach_homology_become_python_sets(monkeypatch):
     betti_table(ideal)
     assert 0 < calls["_maximal_masks"] == calls["_homology_dims_cached"]
     assert calls["_homology_dims_cached"] < len(lcm_lattice(ideal))
+
+
+def test_mixed6_lattice_and_face_counts():
+    # The benchmark's profile-mixed6 reads len(lcm_lattice(...)) as its
+    # lattice point count: 42,047 over k = 1..8, of which 2,714 reach homology.
+    ideal = fixture_ideal("mixed6")
+    points = faces = 0
+    for k in range(1, 9):
+        ideal_k = power(ideal, k)
+        lattice = lcm_lattice(ideal_k)
+        points += len(lattice)
+        faces += sum(1 for _ in _upper_koszul_faces(_generator_matrix(ideal_k), lattice))
+    assert (points, faces) == (42047, 2714)
 
 
 def _assert_euler_characteristics_match_k_polynomial(ideal, field):
