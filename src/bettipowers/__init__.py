@@ -46,7 +46,6 @@ from .resolution_engine import (
 from .scan import ScanParameters, ScanRecord, run_scan, scan_record, write_jsonl
 from .spectra import (
     ConvergenceReport,
-    LimitPolynomial,
     RootFindingError,
     RootLocus,
     betti_polynomial_at,
@@ -82,7 +81,6 @@ __all__ = [
     "GF2",
     "IdealSyntaxError",
     "KodiyalamProfile",
-    "LimitPolynomial",
     "MonomialIdeal",
     "NotStabilized",
     "ProfileInvariantError",

@@ -8,13 +8,12 @@ result, never an exception.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .monomial_core import MonomialIdeal, product
+from .monomial_core import MonomialIdeal, powers
 from .monomial_core import power  # unused here, but perfbench/tracer.py wraps it here
 from .polynomials import RationalPolynomial, fraction_str
 from .resolution_engine import RATIONALS, BettiTable, CoefficientField, betti_table
@@ -95,8 +94,7 @@ def betti_series(
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
     rows = []
-    powers = itertools.accumulate(itertools.repeat(I, kmax), product)
-    for k, ideal_k in enumerate(powers, start=1):
+    for k, ideal_k in enumerate(powers(I, kmax), start=1):
         try:
             table = betti_table(ideal_k, F)
         except Exception as exc:

@@ -22,7 +22,7 @@ from .asymptotics import (
     profile_to_json,
 )
 # perfbench/tracer.py wraps power here, so cli keeps importing it by that name.
-from .monomial_core import MonomialIdeal, parse_ideal, power, product
+from .monomial_core import MonomialIdeal, parse_ideal, power, powers
 from .resolution_engine import (
     DEFAULT_TAYLOR_CAP,
     RATIONALS,
@@ -163,47 +163,39 @@ def cmd_scan(args) -> int:
 def cmd_oracle_check(args) -> int:
     ideal = _load_ideal(args.ideal)
     fields = args.fields
-    powers = []
-    for k, ideal_k in enumerate(
-        itertools.accumulate(itertools.repeat(ideal, args.kmax), product), start=1
-    ):
+    ideal_powers = []
+    for k, ideal_k in enumerate(powers(ideal, args.kmax), start=1):
         if len(ideal_k.generators) > DEFAULT_TAYLOR_CAP:
             raise RuntimeError(
                 f"power k={k} has {len(ideal_k.generators)} generators, above "
                 f"the Taylor oracle cap {DEFAULT_TAYLOR_CAP}; lower --kmax"
             )
-        powers.append(ideal_k)
+        ideal_powers.append(ideal_k)
     results: dict[str, list[dict]] = {}
-    koszul_rows: dict[tuple[str, int], list[int]] = {}
     mismatch = False
     for field in fields:
         per_field = []
-        for k, ideal_k in enumerate(powers, start=1):
+        for k, ideal_k in enumerate(ideal_powers, start=1):
             koszul = list(betti_table(ideal_k, field).totals)
             taylor = list(taylor_betti(ideal_k, field))
             agree = koszul == taylor
             mismatch = mismatch or not agree
-            koszul_rows[(str(field), k)] = koszul
             per_field.append({"k": k, "koszul": koszul, "taylor": taylor, "agree": agree})
         results[str(field)] = per_field
-    findings = []
-    for i, fa in enumerate(fields):
-        for fb in fields[i + 1 :]:
-            for k in range(1, args.kmax + 1):
-                row_a = koszul_rows[(str(fa), k)]
-                row_b = koszul_rows[(str(fb), k)]
-                if row_a != row_b:
-                    findings.append(
-                        {
-                            "type": "finding",
-                            "kind": "characteristic-dependence",
-                            "k": k,
-                            "field_a": str(fa),
-                            "field_b": str(fb),
-                            "betti_a": row_a,
-                            "betti_b": row_b,
-                        }
-                    )
+    findings = [
+        {
+            "type": "finding",
+            "kind": "characteristic-dependence",
+            "k": row_a["k"],
+            "field_a": fa,
+            "field_b": fb,
+            "betti_a": row_a["koszul"],
+            "betti_b": row_b["koszul"],
+        }
+        for fa, fb in itertools.combinations(results, 2)
+        for row_a, row_b in zip(results[fa], results[fb])
+        if row_a["koszul"] != row_b["koszul"]
+    ]
     report = {
         "ideal": str(ideal),
         "kmax": args.kmax,

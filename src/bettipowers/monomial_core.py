@@ -6,7 +6,7 @@ All operations are pure functions on immutable data.
 """
 from __future__ import annotations
 
-import functools
+import collections
 import itertools
 import operator
 import re
@@ -185,11 +185,16 @@ def parse_ideal(text: str) -> MonomialIdeal:
     return MonomialIdeal.from_generators(variables, gens)
 
 
+def powers(I: MonomialIdeal, kmax: int) -> Iterator[MonomialIdeal]:
+    """The powers I^1, ..., I^kmax in turn, each one product after the last."""
+    return itertools.accumulate(itertools.repeat(I, kmax), product)
+
+
 def power(I: MonomialIdeal, k: int) -> MonomialIdeal:
-    """The k-th power I*I*...*I (k >= 1), built one product at a time."""
+    """The k-th power I*I*...*I (k >= 1), the last of powers(I, k)."""
     if k < 1:
         raise ValueError("power requires k >= 1; the unit ideal I^0 is out of scope")
-    return functools.reduce(product, itertools.repeat(I, k - 1), I)
+    return collections.deque(powers(I, k), maxlen=1).pop()
 
 
 def product(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:

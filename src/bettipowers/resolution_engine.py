@@ -192,8 +192,11 @@ def lcm_lattice(I: MonomialIdeal, max_size: int = DEFAULT_LATTICE_CAP) -> np.nda
 
     Returns an (N, n) int64 array with one exponent vector per row, the rows
     in lexicographic order.  Every multidegree with a nonzero Betti number in
-    homological index >= 1 lies in this set.  Raises ResourceLimitError
-    beyond max_size elements, or when an exponent does not fit in int64.
+    homological index >= 1 lies in this set.  Points are closed as
+    mixed-radix keys: int64 while the radix product is below 2^63, exact
+    Python ints (an object array) beyond it, in the same closure.  Raises
+    ResourceLimitError beyond max_size elements, or when an exponent does not
+    fit in int64.
     """
     gens = I.generators
     top = max(max(g) for g in gens)
@@ -204,10 +207,9 @@ def lcm_lattice(I: MonomialIdeal, max_size: int = DEFAULT_LATTICE_CAP) -> np.nda
     # packed into one mixed-radix key whose order is lexicographic order.
     values = [sorted(set(column)) for column in zip(*gens)]
     radices = [len(v) for v in values]
-    if math.prod(radices) >= 1 << 63:
-        return np.array(_lcm_lattice_python(I, max_size), dtype=np.int64)
+    key = np.int64 if math.prod(radices) < 1 << 63 else object
     weights = np.array(
-        [math.prod(radices[j + 1:]) for j in range(len(radices))], dtype=np.int64
+        [math.prod(radices[j + 1:]) for j in range(len(radices))], dtype=key
     )
     rank_of = [{v: r for r, v in enumerate(vals)} for vals in values]
     R = np.array(
@@ -259,32 +261,9 @@ def lcm_lattice(I: MonomialIdeal, max_size: int = DEFAULT_LATTICE_CAP) -> np.nda
     # of `profile mixed6 --kmax 8` by about 0.5 MiB.
     lattice = np.empty((len(keys), len(values)), dtype=np.int64)
     for j, (vals, w, r) in enumerate(zip(values, weights.tolist(), radices)):
-        lattice[:, j] = np.array(vals, dtype=np.int64)[keys // w % r]
+        codes = (keys // w % r).astype(np.intp, copy=False)
+        lattice[:, j] = np.array(vals, dtype=np.int64)[codes]
     return lattice
-
-
-def _lcm_lattice_python(
-    I: MonomialIdeal, max_size: int = DEFAULT_LATTICE_CAP
-) -> list[ExponentVector]:
-    # lcm_lattice for inputs whose keys would not fit in int64; the tests
-    # compare lcm_lattice against it.
-    gens = list(I.generators)
-    seen: set[ExponentVector] = set(gens)
-    frontier = gens
-    while frontier:
-        new = set()
-        for a in frontier:
-            for g in gens:
-                j = tuple(map(max, a, g))
-                if j not in seen:
-                    seen.add(j)
-                    new.add(j)
-                    if len(seen) > max_size:
-                        raise ResourceLimitError(
-                            f"lcm lattice exceeds cap of {max_size} elements"
-                        )
-        frontier = list(new)
-    return sorted(seen)
 
 
 def _upper_koszul_faces(
@@ -343,11 +322,7 @@ class BettiTable:
         return "\n".join(lines) + "\n"
 
 
-def betti_table(
-    I: MonomialIdeal,
-    F: CoefficientField = RATIONALS,
-    lattice_cap: int = DEFAULT_LATTICE_CAP,
-) -> BettiTable:
+def betti_table(I: MonomialIdeal, F: CoefficientField = RATIONALS) -> BettiTable:
     """Betti table of S/I assembled from upper Koszul homology on the lcm lattice.
 
     beta_{i,a}(S/I) = dim H~_{i-2}(K^a(I)) for i >= 1, plus beta_0 = 1 in
@@ -357,7 +332,7 @@ def betti_table(
     n = I.nvars
     if n > 63:
         raise ResourceLimitError(f"{n} variables exceed the engine's limit of 63")
-    lattice = lcm_lattice(I, max_size=lattice_cap)
+    lattice = lcm_lattice(I)
     G = np.array(I.generators, dtype=np.int64)
     entries: dict[tuple[int, ExponentVector], int] = {(0, (0,) * n): 1}
     totals = [0] * (n + 1)

@@ -59,41 +59,35 @@ def betti_polynomial_at(
     return poly
 
 
-@dataclass(frozen=True)
-class LimitPolynomial:
-    """The limit polynomial sum_i k_i t^(apd-i) governing root convergence."""
+def limit_polynomial(profile: KodiyalamProfile) -> RationalPolynomial:
+    """The limit polynomial sum_i k_i t^(apd-i) that governs root convergence.
 
-    polynomial: RationalPolynomial
-    multiplicities: tuple[int, ...]
-    apd: int
-    bigK: int
-
-
-def limit_polynomial(profile: KodiyalamProfile) -> LimitPolynomial:
-    """Limit polynomial of a profile with ell >= 2; has -1 as an exact root."""
+    The k_i are the profile's multiplicities, i = 1..bigK.  Requires ell >= 2;
+    the result has degree apd - 1 and -1 as an exact root.
+    """
     if profile.ell < 2:
         raise ValueError("limit polynomial requires ell >= 2 (non-principal ideal)")
-    apd, bigK = profile.apd, profile.bigK
+    apd = profile.apd
     coeffs = [Fraction(0)] * apd
     for i, m in enumerate(profile.multiplicities, start=1):
         coeffs[apd - i] = Fraction(m)
     poly = RationalPolynomial.from_coefficients(coeffs)
     if poly(-1) != 0:
         raise RuntimeError("limit polynomial does not vanish at -1")
-    return LimitPolynomial(poly, profile.multiplicities, apd, bigK)
+    return poly
 
 
 def limit_root_multiset(profile: KodiyalamProfile) -> list[complex]:
     """The apd-1 roots of the limit polynomial (exact when it is k_1 t^z (t+1)^r)."""
-    lp = limit_polynomial(profile)
-    zeros = lp.apd - lp.bigK
-    reduced = RationalPolynomial.from_coefficients(lp.polynomial.coefficients[zeros:])
+    poly = limit_polynomial(profile)
+    zeros = profile.apd - profile.bigK
+    reduced = RationalPolynomial.from_coefficients(poly.coefficients[zeros:])
     binomial = RationalPolynomial.from_coefficients([1, 1])
-    power_form = RationalPolynomial.constant(lp.multiplicities[0])
-    for _ in range(lp.bigK - 1):
+    power_form = RationalPolynomial.constant(profile.multiplicities[0])
+    for _ in range(profile.bigK - 1):
         power_form = power_form * binomial
     if reduced == power_form:
-        rest = [complex(-1.0)] * (lp.bigK - 1)
+        rest = [complex(-1.0)] * (profile.bigK - 1)
     else:
         rest = find_roots(reduced)
     return [complex(0.0)] * zeros + rest
@@ -388,28 +382,26 @@ def _pair_output(roots: Iterable[complex]) -> list[complex]:
 
 
 def find_roots(
-    p: Union[RationalPolynomial, Sequence[float]],
+    p: RationalPolynomial,
     max_iter: int = DEFAULT_MAX_ITER,
-    step_tol: float = DEFAULT_STEP_TOL,
     residual_tol: float = DEFAULT_RESIDUAL_TOL,
 ) -> list[complex]:
-    """All complex roots of p with multiplicity, in double precision.
+    """All complex roots of p with multiplicity, as doubles sorted by (re, im).
 
-    Runs the simultaneous iteration first with a conjugate-symmetric start
-    (exactly two or three points on the real axis, matching the generic real
-    root count of a real polynomial of that parity), falling back to an
-    asymmetric start with conjugate post-pairing.  A root list is accepted
-    when every scaled residual |p(z)| / sum |c_i||z|^i is at most the
-    tolerance; otherwise RootFindingError carries the best iterate.
+    Zero roots are split off exactly.  Runs the simultaneous iteration first
+    with a conjugate-symmetric start (exactly two or three points on the real
+    axis, matching the generic real root count of a real polynomial of that
+    parity), falling back to an asymmetric start with conjugate post-pairing.
+    Each run stops after max_iter sweeps, or sooner once its steps fall below
+    DEFAULT_STEP_TOL, or below 1e-8 with the residual gate met.  A root list
+    is accepted when every scaled residual |p(z)| / sum |c_i||z|^i is at most
+    residual_tol; otherwise RootFindingError carries the best iterate.
     """
-    return _find_roots_batch([p], max_iter, step_tol, residual_tol)[0]
+    return _find_roots_batch([p], max_iter, residual_tol)[0]
 
 
 def _find_roots_batch(
-    polys: Sequence[Union[RationalPolynomial, Sequence[float]]],
-    max_iter: int,
-    step_tol: float,
-    residual_tol: float,
+    polys: Sequence[RationalPolynomial], max_iter: int, residual_tol: float
 ) -> list[list[complex]]:
     # find_roots for each polynomial in turn.  The symmetric sweeps of all
     # polynomials of one reduced degree m >= 3 run as one batch; polish,
@@ -417,12 +409,7 @@ def _find_roots_batch(
     # in order, so the first one that fails raises.
     reduced = []
     for p in polys:
-        if isinstance(p, RationalPolynomial):
-            exact = p.coefficients
-        else:
-            exact = tuple(p)
-            while exact and exact[-1] == 0:
-                exact = exact[:-1]
+        exact = p.coefficients
         if len(exact) < 2:
             raise ValueError("root finding requires degree >= 1")
         valuation = 0
@@ -445,11 +432,11 @@ def _find_roots_batch(
         z0 = np.array([z for z, _, _ in starts])
         columns = _horner_columns(coeffs)
         z, ok = _aberth_sweeps(
-            coeffs, columns, z0, real_slots, pairs, max_iter, step_tol, residual_tol
+            coeffs, columns, z0, real_slots, pairs, max_iter, DEFAULT_STEP_TOL, residual_tol
         )
         swept.update(zip(rows, zip(radii, z, ok)))
     return [
-        _finish_roots(valuation, coeffs, swept.get(i), max_iter, step_tol, residual_tol)
+        _finish_roots(valuation, coeffs, swept.get(i), max_iter, residual_tol)
         for i, (valuation, coeffs) in enumerate(reduced)
     ]
 
@@ -459,7 +446,6 @@ def _finish_roots(
     coeffs: np.ndarray,
     swept: Optional[tuple],
     max_iter: int,
-    step_tol: float,
     residual_tol: float,
 ) -> list[complex]:
     # Degrees 1 and 2 by closed form; otherwise polish the swept roots, or
@@ -478,7 +464,8 @@ def _finish_roots(
         if not ok or not _cluster_consistent(coeffs, z):
             z0, _, _ = _initial_points(radii, symmetric=False)
             z, _ = _aberth_sweeps(
-                coeffs[None], columns, z0[None], [], [], max_iter, step_tol, residual_tol
+                coeffs[None], columns, z0[None], [], [], max_iter, DEFAULT_STEP_TOL,
+                residual_tol,
             )
             z = np.array(_pair_output(_newton_polish(coeffs, columns, z[0])), dtype=complex)
             residuals = _scaled_residuals(coeffs, z)
@@ -629,10 +616,7 @@ def _match_order(prev: Sequence[complex], cur: Sequence[complex]) -> list[comple
 
 
 def root_locus(
-    profile: KodiyalamProfile,
-    krange: Iterable[int],
-    max_iter: int = DEFAULT_MAX_ITER,
-    residual_tol: float = DEFAULT_RESIDUAL_TOL,
+    profile: KodiyalamProfile, krange: Iterable[int], max_iter: int = DEFAULT_MAX_ITER
 ) -> RootLocus:
     """Roots of the Betti polynomial for each k, with trajectory matching.
 
@@ -647,7 +631,7 @@ def root_locus(
     escape: dict[int, Optional[int]] = {}
     prev: Optional[list[complex]] = None
     polys = [betti_polynomial_at(profile, k, allow_unstabilized=True) for k in ks]
-    found_by_k = _find_roots_batch(polys, max_iter, DEFAULT_STEP_TOL, residual_tol)
+    found_by_k = _find_roots_batch(polys, max_iter, DEFAULT_RESIDUAL_TOL)
     for k, poly, found in zip(ks, polys, found_by_k):
         ordered = found if prev is None else _match_order(prev, found)
         prev = ordered

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from bettipowers import cli, spectra
+from bettipowers import cli, monomial_core, spectra
 from bettipowers.cli import main
 from bettipowers.monomial_core import power, product
 from bettipowers.resolution_engine import CoefficientField, betti_table
@@ -188,7 +188,7 @@ def test_oracle_check_builds_each_power_once(capsys, monkeypatch):
         calls.append(1)
         return product(I, J)
 
-    monkeypatch.setattr(cli, "product", counting_product)
+    monkeypatch.setattr(monomial_core, "product", counting_product)
     argv = ["oracle-check", _fixture("maximal2"), "--kmax", "4", "--fields", "q,2,3"]
     code, out, _ = _run(capsys, argv)
     assert code == 0 and json.loads(out)["engines_agree"] is True

@@ -7,14 +7,13 @@ import numpy as np
 import pytest
 
 from bettipowers import resolution_engine
-from bettipowers.monomial_core import MonomialIdeal, parse_ideal, power
+from bettipowers.monomial_core import MonomialIdeal, parse_ideal, power, powers
 from bettipowers.resolution_engine import (
     GF2,
     RATIONALS,
     CoefficientField,
     ResourceLimitError,
     _homology_dims_cached,
-    _lcm_lattice_python,
     _maximal_masks,
     _upper_koszul_faces,
     betti_table,
@@ -26,6 +25,7 @@ from bettipowers.resolution_engine import (
 from _dense_rank import rank_integer, rank_mod_p
 from _fixtures import FIXTURE_DIR, fixture_ideal
 from _kpolynomial import euler_characteristics, k_polynomial
+from _lattice_reference import lcm_lattice_reference
 
 
 def test_field_parse():
@@ -165,14 +165,14 @@ def _lattice_or_error(lattice, ideal, cap):
 
 
 def _assert_lattice_matches_reference(ideal):
-    expected = _lcm_lattice_python(ideal)
+    expected = lcm_lattice_reference(ideal)
     assert _rows(lcm_lattice(ideal)) == expected
     # The cap admits a lattice of exactly max_size points, and rejects a
     # larger one as soon as a join is added beyond it.
     assert _rows(lcm_lattice(ideal, len(expected))) == expected
     cap = len(expected) - 1
     assert _lattice_or_error(lcm_lattice, ideal, cap) == _lattice_or_error(
-        _lcm_lattice_python, ideal, cap
+        lcm_lattice_reference, ideal, cap
     )
 
 
@@ -202,37 +202,49 @@ def test_lcm_lattice_matches_reference_on_random_ideals():
         _assert_lattice_matches_reference(ideal)
 
 
-def test_lcm_lattice_wide_keys_use_the_reference(monkeypatch):
-    # Three distinct values in each of 40 coordinates: 3^40 > 2^63 keys.
+def _wide_keys(ideal):
+    radices = [len(set(column)) for column in zip(*ideal.generators)]
+    return math.prod(radices) >= 2**63
+
+
+def test_lcm_lattice_wide_keys_match_the_reference():
+    # Three distinct values in each of 40 coordinates: 3^40 > 2^63, so the
+    # keys are Python ints.
     gens = [tuple((j + shift) % 3 for j in range(40)) for shift in range(3)]
     ideal = MonomialIdeal.from_generators([f"x{i}" for i in range(40)], gens)
-    expected = _lcm_lattice_python(ideal)
+    assert _wide_keys(ideal)
+    expected = lcm_lattice_reference(ideal)
     assert len(expected) == 7
-    calls = []
-
-    def counting(I, max_size):
-        calls.append(I)
-        return _lcm_lattice_python(I, max_size)
-
-    monkeypatch.setattr(resolution_engine, "_lcm_lattice_python", counting)
     assert _rows(lcm_lattice(ideal)) == expected
-    assert calls == [ideal]
 
 
-def test_lcm_lattice_rejects_exponents_beyond_int64(monkeypatch):
-    # One exponent of 2^63 on the int64-key path, then on the wide-key path
-    # (3^40 > 2^63 keys), which must not reach the reference either.
+def test_lcm_lattice_wide_keys_on_random_ideals():
+    # 35-63 variables, 2-9 generators, exponents 0-5: most radix products
+    # pass 2^63 (35 of these 50); ideals with two or three generators often
+    # stay below it and run the int64 keys.
+    rng = random.Random(20095)
+    wide = 0
+    for _ in range(50):
+        n = rng.randint(35, 63)
+        gens = [tuple(rng.randint(0, 5) for _ in range(n)) for _ in range(rng.randint(2, 9))]
+        ideal = MonomialIdeal.from_generators([f"x{i}" for i in range(n)], gens)
+        wide += _wide_keys(ideal)
+        assert _rows(lcm_lattice(ideal)) == lcm_lattice_reference(ideal)
+    assert wide >= 30
+    # The cap on wide keys: the exact size is admitted, one less is refused
+    # with the reference's message.
+    gens = [tuple(rng.randint(0, 5) for _ in range(50)) for _ in range(9)]
+    ideal = MonomialIdeal.from_generators([f"x{i}" for i in range(50)], gens)
+    assert _wide_keys(ideal)
+    _assert_lattice_matches_reference(ideal)
+
+
+def test_lcm_lattice_rejects_exponents_beyond_int64():
+    # One exponent of 2^63 with int64 keys, then with wide keys (3^40 > 2^63).
     narrow = MonomialIdeal.from_generators(["x", "y"], [(2**63, 0), (0, 1)])
     gens = [tuple((j + shift) % 3 for j in range(40)) for shift in range(3)]
     gens[0] = (2**63,) + gens[0][1:]
     wide = MonomialIdeal.from_generators([f"x{i}" for i in range(40)], gens)
-    calls = []
-
-    def counting(I, max_size):
-        calls.append(I)
-        return _lcm_lattice_python(I, max_size)
-
-    monkeypatch.setattr(resolution_engine, "_lcm_lattice_python", counting)
     message = f"exponent {2**63} is beyond the engine's 64-bit range"
     for ideal in (narrow, wide):
         with pytest.raises(ResourceLimitError) as err:
@@ -241,10 +253,9 @@ def test_lcm_lattice_rejects_exponents_beyond_int64(monkeypatch):
         with pytest.raises(ResourceLimitError) as err:
             betti_table(ideal)
         assert str(err.value) == message
-    assert calls == []
     # The largest int64 exponent still fits.
     top = MonomialIdeal.from_generators(["x", "y"], [(2**63 - 1, 0), (0, 1)])
-    assert _rows(lcm_lattice(top)) == _lcm_lattice_python(top)
+    assert _rows(lcm_lattice(top)) == lcm_lattice_reference(top)
 
 
 def test_lcm_lattice_keys_near_the_int64_limit():
@@ -257,7 +268,7 @@ def test_lcm_lattice_keys_near_the_int64_limit():
     ideal = MonomialIdeal.from_generators([f"x{i}" for i in range(n)], gens)
     radices = [len(set(column)) for column in zip(*ideal.generators)]
     assert math.prod(radices) == 2**62
-    expected = _lcm_lattice_python(ideal)
+    expected = lcm_lattice_reference(ideal)
     assert len(expected) > len(ideal.generators)
     assert _rows(lcm_lattice(ideal)) == expected
 
@@ -471,6 +482,22 @@ def test_taylor_matches_on_powers():
         assert tuple(taylor_betti(ideal_k, RATIONALS)) == betti_table(
             ideal_k, RATIONALS
         ).totals
+
+
+def test_taylor_matches_koszul_on_random_ideals_and_powers():
+    # A differential check over Q, F_2 and F_3.  Powers are kept up to 12
+    # generators: a 15- or 16-generator Taylor complex takes 2-6 s per field,
+    # and the cap itself is exercised by the next test.
+    fields = (RATIONALS, GF2, CoefficientField(3))
+    checked = 0
+    for ideal in _random_ideals(random.Random(20096), 40, 3, 10):
+        for ideal_k in powers(ideal, 4):
+            if len(ideal_k.generators) > 12:
+                break
+            for field in fields:
+                assert taylor_betti(ideal_k, field) == betti_table(ideal_k, field).totals
+            checked += 1
+    assert checked > 100
 
 
 def test_taylor_runs_at_its_generator_cap():

@@ -360,8 +360,7 @@ def test_random_polynomials_against_sturm():
 
 def test_limit_polynomial_vanishes_at_minus_one():
     profile = _maximal2_profile()
-    lp = limit_polynomial(profile)
-    assert lp.polynomial == _poly(1, 1)
+    assert limit_polynomial(profile) == _poly(1, 1)
     assert limit_root_multiset(profile) == [complex(-1.0)]
 
 
