@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 from .monomial_core import MonomialIdeal, powers
 from .monomial_core import power  # unused here, but perfbench/tracer.py wraps it here
-from .polynomials import RationalPolynomial, fraction_str
+from .polynomials import RationalPolynomial
 from .resolution_engine import RATIONALS, BettiTable, CoefficientField, betti_table
 
 DEFAULT_GUARD = 3

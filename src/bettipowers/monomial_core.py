@@ -209,15 +209,20 @@ def product(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
     return MonomialIdeal(I.variables, minimalize(prods))
 
 
+def _pure_powers(I: MonomialIdeal) -> dict[int, int]:
+    # Variable index -> smallest exponent e with x_i^e among the generators.
+    out: dict[int, int] = {}
+    for g in I.generators:
+        support = [i for i, e in enumerate(g) if e]
+        if len(support) == 1:
+            i = support[0]
+            out[i] = min(out.get(i, g[i]), g[i])
+    return out
+
+
 def is_artinian(I: MonomialIdeal) -> bool:
     """True iff the ideal contains a pure power of every variable."""
-    for i in range(I.nvars):
-        if not any(
-            g[i] > 0 and all(e == 0 for j, e in enumerate(g) if j != i)
-            for g in I.generators
-        ):
-            return False
-    return True
+    return len(_pure_powers(I)) == I.nvars
 
 
 def socle_dimension(I: MonomialIdeal) -> int:
@@ -226,17 +231,11 @@ def socle_dimension(I: MonomialIdeal) -> int:
     Counts monomials u outside I with u*x_i inside I for every variable; the
     enumeration runs over the finite box spanned by the pure-power generators.
     """
-    if not is_artinian(I):
-        raise ValueError("socle enumeration requires an Artinian ideal")
+    pure = _pure_powers(I)
     n = I.nvars
-    bounds = []
-    for i in range(n):
-        pure = min(
-            g[i]
-            for g in I.generators
-            if g[i] > 0 and all(e == 0 for j, e in enumerate(g) if j != i)
-        )
-        bounds.append(pure)
+    if len(pure) != n:
+        raise ValueError("socle enumeration requires an Artinian ideal")
+    bounds = [pure[i] for i in range(n)]
     count = 0
     for u in itertools.product(*(range(b) for b in bounds)):
         if I.contains(u):

@@ -19,6 +19,7 @@ import numpy as np
 
 from .monomial_core import ExponentVector, MonomialIdeal
 
+# Size caps, read at call time.
 DEFAULT_LATTICE_CAP = 1 << 20
 DEFAULT_TAYLOR_CAP = 16
 # Batch size in elements.  A face-assembly batch takes _CHUNK_CELLS //
@@ -187,7 +188,7 @@ def _homology_dims_cached(
     return tuple(counts[i] - rank[i] - rank[i + 1] for i in range(n + 1))
 
 
-def lcm_lattice(I: MonomialIdeal, max_size: int = DEFAULT_LATTICE_CAP) -> np.ndarray:
+def lcm_lattice(I: MonomialIdeal) -> np.ndarray:
     """Join-closure of the generators under componentwise max.
 
     Returns an (N, n) int64 array with one exponent vector per row, the rows
@@ -195,8 +196,8 @@ def lcm_lattice(I: MonomialIdeal, max_size: int = DEFAULT_LATTICE_CAP) -> np.nda
     homological index >= 1 lies in this set.  Points are closed as
     mixed-radix keys: int64 while the radix product is below 2^63, exact
     Python ints (an object array) beyond it, in the same closure.  Raises
-    ResourceLimitError beyond max_size elements, or when an exponent does not
-    fit in int64.
+    ResourceLimitError beyond DEFAULT_LATTICE_CAP elements, or when an
+    exponent does not fit in int64.
     """
     gens = I.generators
     top = max(max(g) for g in gens)
@@ -247,8 +248,10 @@ def lcm_lattice(I: MonomialIdeal, max_size: int = DEFAULT_LATTICE_CAP) -> np.nda
             if not len(new):
                 continue
             count += len(new)
-            if count > max_size:
-                raise ResourceLimitError(f"lcm lattice exceeds cap of {max_size} elements")
+            if count > DEFAULT_LATTICE_CAP:
+                raise ResourceLimitError(
+                    f"lcm lattice exceeds cap of {DEFAULT_LATTICE_CAP} elements"
+                )
             runs.append(new)
             pending.append(new // scale % radix * scale)
             while len(runs) > 1 and len(runs[-2]) <= 2 * len(runs[-1]):
@@ -360,21 +363,18 @@ def betti_table(I: MonomialIdeal, F: CoefficientField = RATIONALS) -> BettiTable
     return BettiTable(I, F, entries, tuple(totals))
 
 
-def taylor_betti(
-    I: MonomialIdeal,
-    F: CoefficientField = RATIONALS,
-    max_generators: int = DEFAULT_TAYLOR_CAP,
-) -> tuple[int, ...]:
+def taylor_betti(I: MonomialIdeal, F: CoefficientField = RATIONALS) -> tuple[int, ...]:
     """Betti totals from the Taylor complex tensored with the field.
 
     Independent oracle for betti_table: the differential entry between a
     generator subset and a facet is +-1 exactly when omitting the generator
-    does not change the subset lcm.  Exponential in the generator count.
+    does not change the subset lcm.  Exponential in the generator count, so
+    more than DEFAULT_TAYLOR_CAP generators raise ResourceLimitError.
     """
     m = len(I.generators)
-    if m > max_generators:
+    if m > DEFAULT_TAYLOR_CAP:
         raise ResourceLimitError(
-            f"{m} generators exceed the Taylor oracle cap of {max_generators}"
+            f"{m} generators exceed the Taylor oracle cap of {DEFAULT_TAYLOR_CAP}"
         )
     n = I.nvars
     gens = I.generators

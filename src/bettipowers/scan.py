@@ -3,8 +3,10 @@
 Each record is generated from (seed, index) alone: the per-record RNG is
 random.Random(seed * 1_000_003 + index), so any line of the stream can be
 reproduced in isolation.  Violations of the checked statements are emitted
-as separate finding records; computation failures are recorded in place and
-never abort the stream.
+as separate finding records.  Three failures are recorded in place without
+aborting the stream: a resource limit, a violated profile invariant and a
+violated engine invariant (the last two also as findings).  Any other
+exception is a fault and propagates.
 """
 from __future__ import annotations
 
@@ -150,10 +152,9 @@ def scan_record(params: ScanParameters, index: int) -> ScanRecord:
         record.findings.append(_finding("invariant-violation", record, message=str(exc)))
     except ResourceLimitError as exc:
         record.profile = {"status": "resource-limit", "error": str(exc)}
-    except Exception as exc:
+    except EngineInvariantError as exc:
         record.profile = {"status": "error", "error": f"{type(exc).__name__}: {exc}"}
-        if isinstance(exc, EngineInvariantError):
-            record.findings.append(_finding("engine-invariant", record, message=str(exc)))
+        record.findings.append(_finding("engine-invariant", record, message=str(exc)))
     record.timing = time.perf_counter() - start
     return record
 

@@ -20,9 +20,12 @@ import numpy as np
 from .asymptotics import KodiyalamProfile
 from .polynomials import RationalPolynomial
 
+# Read at call time, so a test can lower them with monkeypatch.
 DEFAULT_MAX_ITER = 1000
 DEFAULT_STEP_TOL = 1e-12
 DEFAULT_RESIDUAL_TOL = 1e-10
+_POLISH_ITERS = 4
+_CLUSTER_TOL = 1e-6
 
 
 class RootFindingError(RuntimeError):
@@ -127,7 +130,11 @@ def _scaled_residuals(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
         small = absz <= 1.0
         if small.any():
             z = roots[small]
-            out[small] = np.abs(np.polyval(high, z)) / np.polyval(np.abs(high), np.abs(z))
+            num = np.abs(np.polyval(high, z))
+            den = np.polyval(np.abs(high), np.abs(z))
+            # den is 0 only where every term vanishes (z = 0 on a zero
+            # constant term), and then so does p(z).
+            out[small] = np.divide(num, den, out=np.zeros_like(num), where=den != 0)
         if (~small).any():
             w = 1.0 / roots[~small]
             out[~small] = np.abs(np.polyval(coeffs, w)) / np.polyval(
@@ -136,7 +143,7 @@ def _scaled_residuals(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
     return out
 
 
-def _cluster_consistent(coeffs: np.ndarray, roots: np.ndarray, tol: float = 1e-6) -> bool:
+def _cluster_consistent(coeffs: np.ndarray, roots: np.ndarray) -> bool:
     # A pile of c coincident iterates passes the residual gate whenever the
     # common point is any root at all, so a multiplicity-c claim is accepted
     # only when the derivatives through order c-1 are small there too.
@@ -148,7 +155,9 @@ def _cluster_consistent(coeffs: np.ndarray, roots: np.ndarray, tol: float = 1e-6
         cluster = [i]
         assigned[i] = True
         for j in range(i + 1, m):
-            if not assigned[j] and abs(roots[i] - roots[j]) <= tol * (1.0 + abs(roots[i])):
+            if not assigned[j] and (
+                abs(roots[i] - roots[j]) <= _CLUSTER_TOL * (1.0 + abs(roots[i]))
+            ):
                 assigned[j] = True
                 cluster.append(j)
         if len(cluster) == 1:
@@ -160,7 +169,7 @@ def _cluster_consistent(coeffs: np.ndarray, roots: np.ndarray, tol: float = 1e-6
             with np.errstate(all="ignore"):
                 value = abs(np.polyval(deriv[::-1], center))
                 scale = float(np.polyval(np.abs(deriv[::-1]), abs(center)))
-            if scale > 0 and value > tol * scale:
+            if scale > 0 and value > _CLUSTER_TOL * scale:
                 return False
     return True
 
@@ -253,9 +262,6 @@ def _aberth_sweeps(
     z: np.ndarray,
     real_slots: list[int],
     pairs: list[tuple[int, int]],
-    max_iter: int,
-    step_tol: float,
-    residual_tol: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     # Simultaneous iteration on a (K, m) batch: row r holds the iterates of
     # the polynomial coeffs[r], and every row shares one start layout.  A row
@@ -270,8 +276,8 @@ def _aberth_sweeps(
     upper = np.array([i for i, _ in pairs], dtype=np.intp)
     lower = np.array([j for _, j in pairs], dtype=np.intp)
     m = z.shape[1]
-    gate_below = max(step_tol, 1e-8)
-    for _ in range(max_iter):
+    gate_below = max(DEFAULT_STEP_TOL, 1e-8)
+    for _ in range(DEFAULT_MAX_ITER):
         with np.errstate(all="ignore"):
             absz = np.abs(z)
             newton = _newton_corrections(columns, z)
@@ -299,9 +305,9 @@ def _aberth_sweeps(
         # through the residual gate.
         if max_step.min() >= gate_below:
             continue
-        done = max_step < step_tol
+        done = max_step < DEFAULT_STEP_TOL
         for r in np.flatnonzero(max_step < gate_below):
-            gate = (_scaled_residuals(coeffs[r], z[r]) <= residual_tol).all()
+            gate = (_scaled_residuals(coeffs[r], z[r]) <= DEFAULT_RESIDUAL_TOL).all()
             accepted[running[r]] = gate
             done[r] |= gate
         if done.any():
@@ -312,14 +318,12 @@ def _aberth_sweeps(
                 return out, accepted
             columns = [c[:, keep] for c in columns]
     for r, row in enumerate(running):
-        accepted[row] = (_scaled_residuals(coeffs[r], z[r]) <= residual_tol).all()
+        accepted[row] = (_scaled_residuals(coeffs[r], z[r]) <= DEFAULT_RESIDUAL_TOL).all()
     out[running] = z
     return out, accepted
 
 
-def _newton_polish(
-    coeffs: np.ndarray, columns: list[np.ndarray], z: np.ndarray, iters: int = 4
-) -> np.ndarray:
+def _newton_polish(coeffs: np.ndarray, columns: list[np.ndarray], z: np.ndarray) -> np.ndarray:
     # Per-point Newton after the simultaneous phase, on one polynomial: a
     # batch of one in columns, and its m iterates in z.  Near-coincident
     # partners freeze the collective steps through the repulsion term while
@@ -329,7 +333,7 @@ def _newton_polish(
     best = z.copy()
     best_res = _scaled_residuals(coeffs, best)
     cur = z.copy()
-    for _ in range(iters):
+    for _ in range(_POLISH_ITERS):
         with np.errstate(all="ignore"):
             nxt = cur - _newton_corrections(columns, cur[None])[0]
         moved = np.where(np.isfinite(nxt), nxt, cur)
@@ -381,28 +385,23 @@ def _pair_output(roots: Iterable[complex]) -> list[complex]:
     return out
 
 
-def find_roots(
-    p: RationalPolynomial,
-    max_iter: int = DEFAULT_MAX_ITER,
-    residual_tol: float = DEFAULT_RESIDUAL_TOL,
-) -> list[complex]:
+def find_roots(p: RationalPolynomial) -> list[complex]:
     """All complex roots of p with multiplicity, as doubles sorted by (re, im).
 
     Zero roots are split off exactly.  Runs the simultaneous iteration first
     with a conjugate-symmetric start (exactly two or three points on the real
     axis, matching the generic real root count of a real polynomial of that
     parity), falling back to an asymmetric start with conjugate post-pairing.
-    Each run stops after max_iter sweeps, or sooner once its steps fall below
-    DEFAULT_STEP_TOL, or below 1e-8 with the residual gate met.  A root list
-    is accepted when every scaled residual |p(z)| / sum |c_i||z|^i is at most
-    residual_tol; otherwise RootFindingError carries the best iterate.
+    Each run stops after DEFAULT_MAX_ITER sweeps, or sooner once its steps
+    fall below DEFAULT_STEP_TOL, or below 1e-8 with the residual gate met.  A
+    root list is accepted when every scaled residual |p(z)| / sum |c_i||z|^i
+    is at most DEFAULT_RESIDUAL_TOL; otherwise RootFindingError carries the
+    best iterate.
     """
-    return _find_roots_batch([p], max_iter, residual_tol)[0]
+    return _find_roots_batch([p])[0]
 
 
-def _find_roots_batch(
-    polys: Sequence[RationalPolynomial], max_iter: int, residual_tol: float
-) -> list[list[complex]]:
+def _find_roots_batch(polys: Sequence[RationalPolynomial]) -> list[list[complex]]:
     # find_roots for each polynomial in turn.  The symmetric sweeps of all
     # polynomials of one reduced degree m >= 3 run as one batch; polish,
     # the cluster check and the asymmetric fallback then run per polynomial
@@ -431,23 +430,15 @@ def _find_roots_batch(
         _, real_slots, pairs = starts[0]
         z0 = np.array([z for z, _, _ in starts])
         columns = _horner_columns(coeffs)
-        z, ok = _aberth_sweeps(
-            coeffs, columns, z0, real_slots, pairs, max_iter, DEFAULT_STEP_TOL, residual_tol
-        )
+        z, ok = _aberth_sweeps(coeffs, columns, z0, real_slots, pairs)
         swept.update(zip(rows, zip(radii, z, ok)))
     return [
-        _finish_roots(valuation, coeffs, swept.get(i), max_iter, residual_tol)
+        _finish_roots(valuation, coeffs, swept.get(i))
         for i, (valuation, coeffs) in enumerate(reduced)
     ]
 
 
-def _finish_roots(
-    valuation: int,
-    coeffs: np.ndarray,
-    swept: Optional[tuple],
-    max_iter: int,
-    residual_tol: float,
-) -> list[complex]:
+def _finish_roots(valuation: int, coeffs: np.ndarray, swept: Optional[tuple]) -> list[complex]:
     # Degrees 1 and 2 by closed form; otherwise polish the swept roots, or
     # sweep again from an asymmetric start when they fail the checks.
     m = len(coeffs) - 1
@@ -463,15 +454,12 @@ def _finish_roots(
             z = _newton_polish(coeffs, columns, z)
         if not ok or not _cluster_consistent(coeffs, z):
             z0, _, _ = _initial_points(radii, symmetric=False)
-            z, _ = _aberth_sweeps(
-                coeffs[None], columns, z0[None], [], [], max_iter, DEFAULT_STEP_TOL,
-                residual_tol,
-            )
+            z, _ = _aberth_sweeps(coeffs[None], columns, z0[None], [], [])
             z = np.array(_pair_output(_newton_polish(coeffs, columns, z[0])), dtype=complex)
             residuals = _scaled_residuals(coeffs, z)
-            if not (residuals <= residual_tol).all() or not _cluster_consistent(coeffs, z):
+            if not (residuals <= DEFAULT_RESIDUAL_TOL).all() or not _cluster_consistent(coeffs, z):
                 raise RootFindingError(
-                    f"no convergence after {max_iter} iterations "
+                    f"no convergence after {DEFAULT_MAX_ITER} iterations "
                     f"(worst residual {float(residuals.max()):.3e})",
                     list(z),
                     [float(r) for r in residuals],
@@ -615,9 +603,7 @@ def _match_order(prev: Sequence[complex], cur: Sequence[complex]) -> list[comple
     return [assignment[i] for i in range(len(prev))]
 
 
-def root_locus(
-    profile: KodiyalamProfile, krange: Iterable[int], max_iter: int = DEFAULT_MAX_ITER
-) -> RootLocus:
+def root_locus(profile: KodiyalamProfile, krange: Iterable[int]) -> RootLocus:
     """Roots of the Betti polynomial for each k, with trajectory matching.
 
     The escape root at a given k is the real root of largest modulus once
@@ -631,7 +617,7 @@ def root_locus(
     escape: dict[int, Optional[int]] = {}
     prev: Optional[list[complex]] = None
     polys = [betti_polynomial_at(profile, k, allow_unstabilized=True) for k in ks]
-    found_by_k = _find_roots_batch(polys, max_iter, DEFAULT_RESIDUAL_TOL)
+    found_by_k = _find_roots_batch(polys)
     for k, poly, found in zip(ks, polys, found_by_k):
         ordered = found if prev is None else _match_order(prev, found)
         prev = ordered

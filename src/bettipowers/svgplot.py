@@ -9,6 +9,10 @@ from __future__ import annotations
 
 from .spectra import RootLocus
 
+# Canvas size and frame margin, in pixels.
+WIDTH = 640
+HEIGHT = 480
+MARGIN = 48.0
 PALETTE = (
     "#1f77b4",
     "#d62728",
@@ -25,9 +29,7 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def render_locus_svg(
-    locus: RootLocus, width: int = 640, height: int = 480, margin: float = 48.0
-) -> str:
+def render_locus_svg(locus: RootLocus) -> str:
     ks = locus.krange
     esc = locus.escape_trajectory
     degree = locus.degree
@@ -45,27 +47,27 @@ def render_locus_svg(
 
     def to_xy(z: complex) -> tuple[float, float]:
         # Clamp far-away (escaping) points to just outside the plot frame.
-        x = margin + (z.real - re_lo) / (re_hi - re_lo) * (width - 2 * margin)
-        y = height / 2 - z.imag / (2 * im_hi) * (height - 2 * margin)
-        x = min(max(x, margin * 0.25), width - margin * 0.25)
-        y = min(max(y, margin * 0.25), height - margin * 0.25)
+        x = MARGIN + (z.real - re_lo) / (re_hi - re_lo) * (WIDTH - 2 * MARGIN)
+        y = HEIGHT / 2 - z.imag / (2 * im_hi) * (HEIGHT - 2 * MARGIN)
+        x = min(max(x, MARGIN * 0.25), WIDTH - MARGIN * 0.25)
+        y = min(max(y, MARGIN * 0.25), HEIGHT - MARGIN * 0.25)
         return x, y
 
     lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
+        f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
+        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
     ]
     # axes
     x0, y0 = to_xy(complex(0.0, 0.0))
     lines.append(
-        f'<line x1="{_fmt(margin)}" y1="{_fmt(y0)}" x2="{_fmt(width - margin)}" '
+        f'<line x1="{_fmt(MARGIN)}" y1="{_fmt(y0)}" x2="{_fmt(WIDTH - MARGIN)}" '
         f'y2="{_fmt(y0)}" stroke="#cccccc" stroke-width="1"/>'
     )
     if re_lo <= 0.0 <= re_hi:
         lines.append(
-            f'<line x1="{_fmt(x0)}" y1="{_fmt(margin)}" x2="{_fmt(x0)}" '
-            f'y2="{_fmt(height - margin)}" stroke="#cccccc" stroke-width="1"/>'
+            f'<line x1="{_fmt(x0)}" y1="{_fmt(MARGIN)}" x2="{_fmt(x0)}" '
+            f'y2="{_fmt(HEIGHT - MARGIN)}" stroke="#cccccc" stroke-width="1"/>'
         )
     # the distinguished point -1
     mx, my = to_xy(complex(-1.0, 0.0))
@@ -88,7 +90,7 @@ def render_locus_svg(
             f'<circle cx="{_fmt(fx)}" cy="{_fmt(fy)}" r="2.4" fill="{color}"/>'
         )
     lines.append(
-        f'<text x="{_fmt(margin)}" y="{_fmt(height - 12.0)}" font-size="12" '
+        f'<text x="{_fmt(MARGIN)}" y="{_fmt(HEIGHT - 12.0)}" font-size="12" '
         f'fill="#333333">roots of the Betti polynomial, k = {ks[0]}..{ks[-1]} '
         f"(circle marks -1; dashed = escaping root)</text>"
     )

@@ -1,5 +1,4 @@
 """Series computation, stabilization detection, and profile invariants."""
-from fractions import Fraction
 
 import pytest
 

@@ -1,10 +1,9 @@
 """Command-line interface: outputs, exit codes, and determinism."""
-import functools
 import json
 
 import pytest
 
-from bettipowers import cli, monomial_core, spectra
+from bettipowers import monomial_core, spectra
 from bettipowers.cli import main
 from bettipowers.monomial_core import power, product
 from bettipowers.resolution_engine import CoefficientField, betti_table
@@ -219,7 +218,7 @@ def test_usage_errors_exit_one(capsys):
 
 def test_root_finding_failure_exits_two(capsys, monkeypatch):
     # The CLI has no iteration option; a one-sweep limit makes the locus fail.
-    monkeypatch.setattr(cli, "root_locus", functools.partial(spectra.root_locus, max_iter=1))
+    monkeypatch.setattr(spectra, "DEFAULT_MAX_ITER", 1)
     code, out, err = _run(capsys, ["roots", "--regular-sequence", "5", "--kmax", "3"])
     assert code == 2 and out == ""
     assert "error:" in err and "no convergence after 1 iterations" in err

@@ -1,0 +1,45 @@
+"""Every name a package module imports is used there.
+
+The one exception is a name that perfbench/tracer.py looks up in that
+module: the tracer wraps it there, so the module keeps the import even
+when its own code calls the function through another path.
+"""
+import ast
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "bettipowers"
+TRACER = ROOT / "perfbench" / "tracer.py"
+
+
+def _traced_lookups():
+    # (module, attribute) for every place the tracer patches an attribute.
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)  # defines SITES; installs nothing
+    return {(mod, attr) for _, _, attr, lookups, _ in tracer.SITES for mod in lookups}
+
+
+def test_every_imported_name_is_used():
+    traced = _traced_lookups()
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert paths
+    unused = []
+    for path in paths:
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    imported[name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [
+            f"{path.name}:{line}: {name}"
+            for name, line in sorted(imported.items())
+            if name not in used and (path.stem, name) not in traced
+        ]
+    assert unused == []

@@ -149,11 +149,18 @@ def _rows(lattice):
     return list(map(tuple, lattice.tolist()))
 
 
+def _capped_lattice(ideal, cap):
+    # lcm_lattice under a lattice cap of cap points.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(resolution_engine, "DEFAULT_LATTICE_CAP", cap)
+        return lcm_lattice(ideal)
+
+
 def test_lcm_lattice_small():
     ideal = parse_ideal("vars: x y; gens: x, y")
     assert _rows(lcm_lattice(ideal)) == [(0, 1), (1, 0), (1, 1)]
     with pytest.raises(ResourceLimitError):
-        lcm_lattice(fixture_ideal("mixed6"), max_size=3)
+        _capped_lattice(fixture_ideal("mixed6"), 3)
 
 
 def _lattice_or_error(lattice, ideal, cap):
@@ -167,11 +174,11 @@ def _lattice_or_error(lattice, ideal, cap):
 def _assert_lattice_matches_reference(ideal):
     expected = lcm_lattice_reference(ideal)
     assert _rows(lcm_lattice(ideal)) == expected
-    # The cap admits a lattice of exactly max_size points, and rejects a
+    # The cap admits a lattice of exactly as many points, and rejects a
     # larger one as soon as a join is added beyond it.
-    assert _rows(lcm_lattice(ideal, len(expected))) == expected
+    assert _rows(_capped_lattice(ideal, len(expected))) == expected
     cap = len(expected) - 1
-    assert _lattice_or_error(lcm_lattice, ideal, cap) == _lattice_or_error(
+    assert _lattice_or_error(_capped_lattice, ideal, cap) == _lattice_or_error(
         lcm_lattice_reference, ideal, cap
     )
 
@@ -273,15 +280,16 @@ def test_lcm_lattice_keys_near_the_int64_limit():
     assert _rows(lcm_lattice(ideal)) == expected
 
 
-def test_lcm_lattice_cap_far_below_the_lattice():
+def test_lcm_lattice_cap_far_below_the_lattice(monkeypatch):
     # The maximal ideal in 24 variables has 2^24 - 1 lattice points.
     n = 24
     ideal = MonomialIdeal.from_generators(
         [f"x{i}" for i in range(n)], [tuple(int(i == j) for j in range(n)) for i in range(n)]
     )
+    monkeypatch.setattr(resolution_engine, "DEFAULT_LATTICE_CAP", 1000)
     start = time.perf_counter()
     with pytest.raises(ResourceLimitError) as err:
-        lcm_lattice(ideal, max_size=1000)
+        lcm_lattice(ideal)
     assert str(err.value) == "lcm lattice exceeds cap of 1000 elements"
     assert time.perf_counter() - start < 1.0
 
@@ -508,9 +516,10 @@ def test_taylor_runs_at_its_generator_cap():
     assert taylor_betti(ideal, GF2) == betti_table(ideal, GF2).totals
 
 
-def test_taylor_generator_cap():
+def test_taylor_generator_cap(monkeypatch):
+    monkeypatch.setattr(resolution_engine, "DEFAULT_TAYLOR_CAP", 4)
     with pytest.raises(ResourceLimitError):
-        taylor_betti(fixture_ideal("rp2"), RATIONALS, max_generators=4)
+        taylor_betti(fixture_ideal("rp2"), RATIONALS)
 
 
 def test_characteristic_changes_betti_numbers():

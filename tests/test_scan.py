@@ -14,6 +14,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+import pytest
+
 from bettipowers import asymptotics
 from bettipowers.asymptotics import (
     KodiyalamProfile,
@@ -146,3 +148,16 @@ def test_engine_faults_become_findings_and_limits_get_their_own_status(monkeypat
     assert record.profile["status"] == "resource-limit"
     assert "cap of 3" in record.profile["error"]
     assert record.findings == []
+
+
+def test_unexpected_engine_errors_propagate(monkeypatch):
+    # Only the limit and the invariant errors become records; any other
+    # exception is a fault in the package and must not turn into one.
+    params = ScanParameters(nvars=3, ngens=4, max_exp=1, count=1, seed=1)
+
+    def faulty(I, F):
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setattr(asymptotics, "betti_table", faulty)
+    with pytest.raises(ZeroDivisionError, match="power k=1: division by zero"):
+        scan_record(params, 0)

@@ -103,9 +103,11 @@ def test_find_roots_high_multiplicity_cluster():
     assert max(abs(z + 1) for z in roots) < 0.5
 
 
-def test_find_roots_error_carries_best_iterate():
+def test_find_roots_error_carries_best_iterate(monkeypatch):
+    monkeypatch.setattr(spectra, "DEFAULT_MAX_ITER", 1)
+    monkeypatch.setattr(spectra, "DEFAULT_RESIDUAL_TOL", 1e-30)
     with pytest.raises(RootFindingError) as err:
-        find_roots(_poly(1, 1, 0, 1), max_iter=1, residual_tol=1e-30)
+        find_roots(_poly(1, 1, 0, 1))
     assert len(err.value.roots) == 3
     assert len(err.value.residuals) == 3
 
@@ -200,12 +202,16 @@ def _assert_sweeps_match_reference(polys, symmetric):
     ]
     _, real_slots, pairs = starts[0]
     z0 = np.array([z for z, _, _ in starts])
-    rest = (real_slots, pairs, DEFAULT_MAX_ITER, DEFAULT_STEP_TOL, DEFAULT_RESIDUAL_TOL)
-    batch, batch_ok = spectra._aberth_sweeps(coeffs, spectra._horner_columns(coeffs), z0, *rest)
+    tolerances = (DEFAULT_MAX_ITER, DEFAULT_STEP_TOL, DEFAULT_RESIDUAL_TOL)
+    batch, batch_ok = spectra._aberth_sweeps(
+        coeffs, spectra._horner_columns(coeffs), z0, real_slots, pairs
+    )
     for row, c in enumerate(coeffs):
         columns = spectra._horner_columns(c[None])
-        want, want_ok = _aberth_reference(c, z0[row], *rest)
-        alone, alone_ok = spectra._aberth_sweeps(c[None], columns, z0[row : row + 1], *rest)
+        want, want_ok = _aberth_reference(c, z0[row], real_slots, pairs, *tolerances)
+        alone, alone_ok = spectra._aberth_sweeps(
+            c[None], columns, z0[row : row + 1], real_slots, pairs
+        )
         for got, got_ok in ((batch[row], batch_ok[row]), (alone[0], alone_ok[0])):
             assert got_ok == want_ok
             assert np.array_equal(got, want)
@@ -299,14 +305,15 @@ def test_root_locus_batch_equals_one_k_at_a_time(profile):
     assert root_locus(profile, ks).to_csv() == _locus_csv_one_k_at_a_time(profile, ks)
 
 
-def test_root_locus_raises_for_the_first_failing_k():
+def test_root_locus_raises_for_the_first_failing_k(monkeypatch):
     # k=1 has a closed form and cannot fail, and k=2 fails after one sweep,
     # so the locus must raise at k=2 with the error find_roots gives on it.
+    monkeypatch.setattr(spectra, "DEFAULT_MAX_ITER", 1)
     profile = _mixed_degree_profile()
     with pytest.raises(RootFindingError) as err:
-        root_locus(profile, range(1, 6), max_iter=1)
+        root_locus(profile, range(1, 6))
     with pytest.raises(RootFindingError) as alone:
-        find_roots(betti_polynomial_at(profile, 2), max_iter=1)
+        find_roots(betti_polynomial_at(profile, 2))
     assert len(err.value.roots) == 4
     assert str(err.value) == str(alone.value)
     assert err.value.roots == alone.value.roots
@@ -415,6 +422,27 @@ def test_root_locus_csv_layout():
     assert lines[0] == "k,root_index,re,im,trajectory_id,is_escape"
     assert len(lines) == 1 + 3 * 2
     assert lines[1].startswith("1,0,")
+
+
+def test_root_locus_residual_is_zero_at_an_exact_zero_root():
+    # P = (1, 2k, k-1) with k0 = 2: below k0, P(1,t) = t^2 + 2t has the exact
+    # root 0, where every term of the residual's scale vanishes.
+    k = _poly(0, 1)
+    one = RationalPolynomial.constant(1)
+    profile = KodiyalamProfile(
+        polynomials=(one, k.scale(2), k - one),
+        k0=2,
+        apd=2,
+        ell=2,
+        bigK=2,
+        multiplicities=(2, 1),
+        column_thresholds=(1, 1, 2),
+    )
+    locus = root_locus(profile, range(1, 4))
+    assert locus.roots[1] == (complex(-2.0), complex(0.0))
+    assert locus.residuals[1] == (0.0, 0.0)
+    for ks in locus.krange:
+        assert all(np.isfinite(locus.residuals[ks]))
 
 
 def test_verify_limit_theorem_maximal3():

@@ -17,7 +17,6 @@ from bettipowers.verdicts import (
     LOG_CONCAVITY,
     NOT_APPLICABLE,
     SATISFIED,
-    VerdictReport,
     artinian_spread_check,
     conjecture_check,
     corollary_last_check,
