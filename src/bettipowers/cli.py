@@ -14,6 +14,7 @@ import sys
 from typing import Optional, Sequence
 
 from .asymptotics import (
+    DEFAULT_GUARD,
     KodiyalamProfile,
     betti_series,
     closed_form_profile,
@@ -227,7 +228,7 @@ def build_parser() -> _Parser:
     )
     p_prof.add_argument("ideal")
     p_prof.add_argument("--kmax", type=_positive_int, default=None)
-    p_prof.add_argument("--guard", type=_positive_int, default=3)
+    p_prof.add_argument("--guard", type=_positive_int, default=DEFAULT_GUARD)
     p_prof.add_argument("--field", type=_field, default="q")
     p_prof.set_defaults(handler=cmd_profile)
 
@@ -244,7 +245,7 @@ def build_parser() -> _Parser:
     )
     p_roots.add_argument("--kmax", type=_positive_int, default=10)
     p_roots.add_argument("--fit-kmax", type=_positive_int, default=None)
-    p_roots.add_argument("--guard", type=_positive_int, default=3)
+    p_roots.add_argument("--guard", type=_positive_int, default=DEFAULT_GUARD)
     p_roots.add_argument("--csv", default=None, help="CSV path (default stdout)")
     p_roots.add_argument("--svg", default=None, help="optional SVG path")
     p_roots.set_defaults(handler=cmd_roots)
@@ -259,7 +260,7 @@ def build_parser() -> _Parser:
     p_scan.add_argument("--seed", type=int, default=1)
     p_scan.add_argument("--artinian", action="store_true")
     p_scan.add_argument("--kmax", type=_positive_int, default=None)
-    p_scan.add_argument("--guard", type=_positive_int, default=3)
+    p_scan.add_argument("--guard", type=_positive_int, default=DEFAULT_GUARD)
     p_scan.add_argument("--field", type=_field, default="q")
     p_scan.add_argument("--out", default=None, help="JSONL path (default stdout)")
     p_scan.add_argument(

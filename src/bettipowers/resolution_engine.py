@@ -6,6 +6,15 @@ lattice; the oracle computes ranks in the Taylor complex tensored with the
 field.  Both pass their boundary maps, one sparse row per cell, to a single
 exact rank kernel (integer rows kept primitive over Q, reduced mod p over
 F_p) and share the vertex order and boundary sign convention.
+
+The engine codes lattice points as mixed-radix keys over the generators'
+distinct values on each axis, and closes them under joins once.  When that
+key space has at most DEFAULT_LATTICE_CAP keys (it is dense), the closure
+marks found keys in a boolean table; otherwise it keeps sorted runs and
+enforces the cap.  In at most 6 variables and a dense key space, each
+point's complex is read as a 2^n-bit face code from the generators'
+up-closure table (the table route); otherwise from the generators that
+divide the point (the mask route).  The two routes give the same tables.
 """
 from __future__ import annotations
 
@@ -22,9 +31,10 @@ from .monomial_core import ExponentVector, MonomialIdeal
 # Size caps, read at call time.
 DEFAULT_LATTICE_CAP = 1 << 20
 DEFAULT_TAYLOR_CAP = 16
-# Batch size in elements.  A face-assembly batch takes _CHUNK_CELLS //
-# generators points and a lattice-closure batch _CHUNK_CELLS // (generators x
-# variables); the temporaries of both are points x generators.
+# Batch size in elements.  A lattice-closure batch and a face-assembly batch
+# take _CHUNK_CELLS // generators points, whose temporaries are points x
+# generators; a face-code batch takes _CHUNK_CELLS >> n points, whose
+# temporaries are points x 2^n subsets.
 _CHUNK_CELLS = 1 << 15
 
 
@@ -188,49 +198,74 @@ def _homology_dims_cached(
     return tuple(counts[i] - rank[i] - rank[i + 1] for i in range(n + 1))
 
 
-def lcm_lattice(I: MonomialIdeal) -> np.ndarray:
-    """Join-closure of the generators under componentwise max.
+class _KeySpace:
+    """Mixed-radix keys for the points that joins of the generators reach.
 
-    Returns an (N, n) int64 array with one exponent vector per row, the rows
-    in lexicographic order.  Every multidegree with a nonzero Betti number in
-    homological index >= 1 lies in this set.  Points are closed as
-    mixed-radix keys: int64 while the radix product is below 2^63, exact
-    Python ints (an object array) beyond it, in the same closure.  Raises
-    ResourceLimitError beyond DEFAULT_LATTICE_CAP elements, or when an
-    exponent does not fit in int64.
+    Every coordinate of a join is some generator's value there, so a point is
+    coded by the ranks of its coordinates among those values, packed into one
+    key whose order is lexicographic order.  The space is dense when its size,
+    the radix product, is at most DEFAULT_LATTICE_CAP: keys are then int32 and
+    a set of points is one boolean table indexed by key.  Beyond the cap keys
+    are int64 while the radix product is below 2^63, and exact Python ints (an
+    object array) past it.  Raises ResourceLimitError when an exponent does
+    not fit in int64.
     """
-    gens = I.generators
-    top = max(max(g) for g in gens)
-    if top >= 1 << 63:
-        raise ResourceLimitError(f"exponent {top} is beyond the engine's 64-bit range")
-    # Every coordinate of a join is some generator's value there, so each
-    # point is coded by the ranks of its coordinates among those values,
-    # packed into one mixed-radix key whose order is lexicographic order.
-    values = [sorted(set(column)) for column in zip(*gens)]
-    radices = [len(v) for v in values]
-    key = np.int64 if math.prod(radices) < 1 << 63 else object
-    weights = np.array(
-        [math.prod(radices[j + 1:]) for j in range(len(radices))], dtype=key
-    )
-    rank_of = [{v: r for r, v in enumerate(vals)} for vals in values]
-    R = np.array(
-        [[rank[e] for rank, e in zip(rank_of, g)] for g in gens], dtype=np.int64
-    )
+
+    def __init__(self, gens: Sequence[ExponentVector]):
+        top = max(max(g) for g in gens)
+        if top >= 1 << 63:
+            raise ResourceLimitError(f"exponent {top} is beyond the engine's 64-bit range")
+        self.values = [sorted(set(column)) for column in zip(*gens)]
+        self.radices = [len(v) for v in self.values]
+        self.size = math.prod(self.radices)
+        self.dense = self.size <= DEFAULT_LATTICE_CAP
+        key = np.int32 if self.dense else np.int64 if self.size < 1 << 63 else object
+        self.weights = np.array(
+            [math.prod(self.radices[j + 1:]) for j in range(len(self.radices))], dtype=key
+        )
+        rank_of = [{v: r for r, v in enumerate(vals)} for vals in self.values]
+        self.ranks = np.array(
+            [[rank[e] for rank, e in zip(rank_of, g)] for g in gens], dtype=key
+        )
+        self.generator_keys = self.ranks @ self.weights
+
+    def decode(self, keys: np.ndarray) -> np.ndarray:
+        """The exponent rows of these keys, as a (len(keys), n) int64 array."""
+        # One column at a time, so no temporary is (N, n).
+        rows = np.empty((len(keys), len(self.values)), dtype=np.int64)
+        for j, (vals, w, r) in enumerate(zip(self.values, self.weights.tolist(), self.radices)):
+            codes = (keys // w % r).astype(np.intp, copy=False)
+            rows[:, j] = np.array(vals, dtype=np.int64)[codes]
+        return rows
+
+
+def _join_closure(space: _KeySpace) -> np.ndarray:
+    """Sorted keys of the join-closure of the generators under componentwise max.
+
+    A dense key space marks the keys found in one boolean table, and holds at
+    most DEFAULT_LATTICE_CAP points.  Otherwise the keys found are kept as
+    sorted runs, and ResourceLimitError is raised as soon as a join is added
+    beyond DEFAULT_LATTICE_CAP points.
+    """
     # Max commutes with scaling by a positive weight, so the key of a join is
     # the sum over j of max(f_j * w_j, g_j * w_j): one 2-D maximum per variable
     # on the weighted columns, each sum below the radix product.
-    weighted = (R * weights).T.copy()
-    keys = R @ weights
-    keys.sort()
-    # runs: disjoint sorted arrays holding every key found, each more than
-    # twice as long as the next, so a chunk is checked against O(log) arrays
-    # and every key is re-sorted O(log) times; pending: found points not yet
-    # joined with the generators, as weighted columns.
-    runs = [keys]
+    weighted = (space.ranks * space.weights).T.copy()
+    if space.dense:
+        found = np.zeros(space.size, dtype=bool)
+        found[space.generator_keys] = True
+    else:
+        # runs: disjoint sorted arrays holding every key found, each more than
+        # twice as long as the next, so a chunk is checked against O(log)
+        # arrays and every key is re-sorted O(log) times.
+        runs = [np.sort(space.generator_keys)]
+        count = len(space.generator_keys)
+    # pending: found points not yet joined with the generators, as weighted
+    # columns.
     pending = [weighted]
-    count = len(keys)
-    step = max(1, _CHUNK_CELLS // R.size)
-    scale, radix = weights[:, None], np.array(radices)[:, None]
+    step = max(1, _CHUNK_CELLS // len(space.ranks))
+    scale = space.weights[:, None]
+    radix = np.array(space.radices, dtype=scale.dtype)[:, None]
     while pending:
         frontier = pending.pop()
         for start in range(0, frontier.shape[1], step):
@@ -239,34 +274,51 @@ def lcm_lattice(I: MonomialIdeal) -> np.ndarray:
             for f, w in zip(block[1:], weighted[1:]):
                 joins += np.maximum(f, w)
             joins = joins.ravel()
+            if space.dense:
+                # Most joins are found already; the table drops them unsorted.
+                joins = joins[~found[joins]]
+                if not len(joins):
+                    continue
             joins.sort()
             new = joins[np.concatenate(([True], joins[1:] != joins[:-1]))]
-            for run in runs:
-                at = run.searchsorted(new)
-                at[at == len(run)] = 0
-                new = new[run[at] != new]
-            if not len(new):
-                continue
-            count += len(new)
-            if count > DEFAULT_LATTICE_CAP:
-                raise ResourceLimitError(
-                    f"lcm lattice exceeds cap of {DEFAULT_LATTICE_CAP} elements"
-                )
-            runs.append(new)
+            if space.dense:
+                found[new] = True
+            else:
+                for run in runs:
+                    at = run.searchsorted(new)
+                    at[at == len(run)] = 0
+                    new = new[run[at] != new]
+                if not len(new):
+                    continue
+                count += len(new)
+                if count > DEFAULT_LATTICE_CAP:
+                    raise ResourceLimitError(
+                        f"lcm lattice exceeds cap of {DEFAULT_LATTICE_CAP} elements"
+                    )
+                runs.append(new)
+                while len(runs) > 1 and len(runs[-2]) <= 2 * len(runs[-1]):
+                    merged = np.concatenate((runs.pop(-2), runs.pop()))
+                    merged.sort()
+                    runs.append(merged)
             pending.append(new // scale % radix * scale)
-            while len(runs) > 1 and len(runs[-2]) <= 2 * len(runs[-1]):
-                merged = np.concatenate((runs.pop(-2), runs.pop()))
-                merged.sort()
-                runs.append(merged)
+    if space.dense:
+        return found.nonzero()[0].astype(np.int32)
     keys = np.concatenate(runs)
     keys.sort()
-    # One column at a time: an (N, n) array of codes raised the peak memory
-    # of `profile mixed6 --kmax 8` by about 0.5 MiB.
-    lattice = np.empty((len(keys), len(values)), dtype=np.int64)
-    for j, (vals, w, r) in enumerate(zip(values, weights.tolist(), radices)):
-        codes = (keys // w % r).astype(np.intp, copy=False)
-        lattice[:, j] = np.array(vals, dtype=np.int64)[codes]
-    return lattice
+    return keys
+
+
+def lcm_lattice(I: MonomialIdeal) -> np.ndarray:
+    """Join-closure of the generators under componentwise max.
+
+    Returns an (N, n) int64 array with one exponent vector per row, the rows
+    in lexicographic order.  Every multidegree with a nonzero Betti number in
+    homological index >= 1 lies in this set.  Points are closed as
+    mixed-radix keys (see _KeySpace).  Raises ResourceLimitError beyond
+    DEFAULT_LATTICE_CAP elements, or when an exponent does not fit in int64.
+    """
+    space = _KeySpace(I.generators)
+    return space.decode(_join_closure(space))
 
 
 def _upper_koszul_faces(
@@ -305,6 +357,105 @@ def _upper_koszul_faces(
             yield i, _maximal_masks(mask for mask in row if mask >= 0)
 
 
+@lru_cache(maxsize=None)
+def _subset_tables(n: int) -> tuple[np.ndarray, ...]:
+    # Tables over the subsets F of n vertices, as bit masks, for face codes
+    # of 2^n bits in the narrowest unsigned dtype that holds them:
+    #   members[j, F]: 1 when j lies in F;
+    #   within[s, F]: F lies in s;
+    #   without[j]: the code with a bit at each F that omits j;
+    #   shifts[j]: 2^j, the shift that moves bit F + j onto bit F.
+    code = np.dtype(f"<u{max(1, (1 << n) // 8)}")
+    subsets = np.arange(1 << n)
+    axes = np.arange(n)[:, None]
+    members = subsets >> axes & 1
+    within = (subsets & ~subsets[:, None]) == 0
+    without = np.packbits(members == 0, axis=1, bitorder="little").view(code)
+    shifts = (1 << axes).astype(code)
+    return members, within, without, shifts
+
+
+def _face_codes(space: _KeySpace, keys: np.ndarray) -> np.ndarray:
+    # Bit F of a point's code is set when F is a face of its upper Koszul
+    # complex: 2^n bits, at most 64 for n <= 6.  At a lattice point a, x^(a-F)
+    # lies in the ideal exactly when some generator g has g_j < a_j for j in F
+    # and g_j <= a_j elsewhere.  In ranks that reads: rank_j >= 1 for j in F,
+    # and key - sum_{j in F} w_j lies in U, the up-closure of the generators
+    # over the key grid.  One 2-D gather per chunk of keys reads U.
+    n = len(space.radices)
+    U = np.zeros(space.size + 1, dtype=bool)  # U[size] stays False
+    U[space.generator_keys] = True
+    for w, r in zip(space.weights.tolist(), space.radices):
+        axis = U[:-1].reshape(-1, r, w)
+        for i in range(1, r):
+            axis[:, i] |= axis[:, i - 1]
+    members, within, without, shifts = _subset_tables(n)
+    offsets = (space.weights @ members).astype(np.int32)  # sum of w_j over F
+    radices = np.array(space.radices, dtype=np.int32)
+    step = max(1, _CHUNK_CELLS >> n)
+    packed = []
+    for at in range(0, len(keys), step):
+        chunk = keys[at:at + step, None]
+        # support: bit j is set when rank_j >= 1, in one byte.  A face off
+        # the support reads U[size].
+        positive = chunk // space.weights % radices != 0
+        support = np.packbits(positive, axis=1, bitorder="little")[:, 0]
+        cells = np.where(within[support], chunk - offsets, space.size)
+        packed.append(np.packbits(U[cells], axis=1, bitorder="little"))
+    return np.concatenate(packed).view(without.dtype).ravel()
+
+
+def _table_cells(
+    space: _KeySpace, keys: np.ndarray, characteristic: int
+) -> Iterator[tuple[list[ExponentVector], tuple[int, ...]]]:
+    # The table route: (exponent rows, homology dims) once per distinct face
+    # code with nonzero homology.  Cones are contractible and stay in numpy;
+    # each other distinct code reaches _maximal_masks and the homology once,
+    # and only the points of codes with nonzero homology are decoded.
+    n = len(space.radices)
+    codes = _face_codes(space, keys)
+    distinct = np.sort(codes)
+    distinct = distinct[np.concatenate(([True], distinct[1:] != distinct[:-1]))]
+    # A complex is a cone over j when F + j is a face for every face F
+    # without j, and F is a maximal face when no F + j is a face.
+    _, _, without, shifts = _subset_tables(n)
+    above = (distinct >> shifts) & without  # bit F of row j: F + j is a face
+    cone = (distinct & without & ~above == 0).any(axis=0)
+    tops = distinct & ~np.bitwise_or.reduce(above, axis=0)
+    homologous = []
+    for c, top, apex in zip(distinct.tolist(), tops.tolist(), cone.tolist()):
+        if apex:
+            continue
+        faces = []
+        while top:
+            low = top & -top
+            faces.append(low.bit_length() - 1)
+            top ^= low
+        maximal = _maximal_masks(faces)
+        dims = _homology_dims_cached(n, maximal, characteristic)
+        if any(dims):
+            homologous.append(((codes == c).nonzero()[0], dims))
+    # Every generator's complex is the empty face alone, so homologous is not
+    # empty.
+    rows = space.decode(keys[np.concatenate([at for at, _ in homologous])]).tolist()
+    start = 0
+    for at, dims in homologous:
+        yield list(map(tuple, rows[start:start + len(at)])), dims
+        start += len(at)
+
+
+def _mask_cells(
+    I: MonomialIdeal, characteristic: int
+) -> Iterator[tuple[list[ExponentVector], tuple[int, ...]]]:
+    # The mask route: one point of the lcm lattice at a time.
+    lattice = lcm_lattice(I)
+    G = np.array(I.generators, dtype=np.int64)
+    for p, maximal in _upper_koszul_faces(G, lattice):
+        yield [tuple(lattice[p].tolist())], _homology_dims_cached(
+            I.nvars, maximal, characteristic
+        )
+
+
 @dataclass(frozen=True)
 class BettiTable:
     """Multigraded Betti numbers of S/I over one coefficient field."""
@@ -329,31 +480,35 @@ def betti_table(I: MonomialIdeal, F: CoefficientField = RATIONALS) -> BettiTable
     """Betti table of S/I assembled from upper Koszul homology on the lcm lattice.
 
     beta_{i,a}(S/I) = dim H~_{i-2}(K^a(I)) for i >= 1, plus beta_0 = 1 in
-    multidegree zero.  Internal consistency (beta_1 = generator count, Euler
-    alternating sum zero) is asserted on the result.
+    multidegree zero.  Ideals in at most 6 variables whose key space is dense
+    (see _KeySpace) read their complexes from tables over the key grid; all
+    others from the generators that divide each lattice point.  Internal
+    consistency (beta_1 = generator count, Euler alternating sum zero) is
+    asserted on the result.
     """
     n = I.nvars
     if n > 63:
         raise ResourceLimitError(f"{n} variables exceed the engine's limit of 63")
-    lattice = lcm_lattice(I)
-    G = np.array(I.generators, dtype=np.int64)
+    char = F.characteristic
+    space = _KeySpace(I.generators)
+    if n <= 6 and space.dense:
+        cells = _table_cells(space, _join_closure(space), char)
+    else:
+        cells = _mask_cells(I, char)
     entries: dict[tuple[int, ExponentVector], int] = {(0, (0,) * n): 1}
     totals = [0] * (n + 1)
     totals[0] = 1
-    char = F.characteristic
-    for p, maximal in _upper_koszul_faces(G, lattice):
-        a = tuple(lattice[p].tolist())
-        dims = _homology_dims_cached(n, maximal, char)
+    for points, dims in cells:
         for idx, d in enumerate(dims):
             if d:
                 i = idx + 1  # homological index: j + 2 with j = idx - 1
-                if i <= n:
-                    entries[(i, a)] = d
-                    totals[i] += d
-                else:
+                if i > n:
                     raise EngineInvariantError(
-                        f"homology above the ambient dimension at {a}"
+                        f"homology above the ambient dimension at {points[0]}"
                     )
+                totals[i] += d * len(points)
+                for a in points:
+                    entries[(i, a)] = d
     if totals[1] != len(I.generators):
         raise EngineInvariantError(
             f"beta_1 = {totals[1]} disagrees with {len(I.generators)} minimal generators"

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional, TextIO
 
 from .asymptotics import (
+    DEFAULT_GUARD,
     KodiyalamProfile,
     ProfileInvariantError,
     betti_series,
@@ -50,7 +51,7 @@ class ScanParameters:
     seed: int
     artinian: bool = False
     kmax: Optional[int] = None
-    guard: int = 3
+    guard: int = DEFAULT_GUARD
     field: CoefficientField = RATIONALS
 
     def __post_init__(self):

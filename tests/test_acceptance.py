@@ -49,7 +49,7 @@ KMAX = {
 }
 
 # The fixtures that contain a pure power of every variable.
-ARTINIAN = ("maximal2", "purepowers2", "msquare2", "purepowers3", "maximal3")
+ARTINIAN = ("maximal2", "purepowers2", "msquare2", "purepowers3", "maximal3", "artinian4")
 
 
 @lru_cache(maxsize=None)

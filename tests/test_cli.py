@@ -1,5 +1,9 @@
 """Command-line interface: outputs, exit codes, and determinism."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -242,3 +246,36 @@ def test_computation_errors_exit_two(capsys, tmp_path):
     assert code == 2 and "error:" in err and "63" in err
     code, _, err = _run(capsys, ["oracle-check", _fixture("rp2"), "--kmax", "2"])
     assert code == 2 and "Taylor oracle cap" in err
+
+
+GUARD_DEFAULTS = """
+import argparse
+from bettipowers import asymptotics
+asymptotics.DEFAULT_GUARD = 5
+from bettipowers import cli, scan
+
+parser = cli.build_parser()
+subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+required = {"profile": ["x.ideal"], "scan": "--vars 1 --gens 1 --max-exp 1 --count 0".split()}
+guards = {
+    name: parser.parse_args([name, *required.get(name, [])]).guard
+    for name, sub in subparsers.choices.items()
+    if sub.get_default("guard") is not None
+}
+print(sorted(guards.items()), scan.ScanParameters(1, 1, 1, 0, 1).guard)
+"""
+
+
+def test_guard_defaults_read_the_fit_constant():
+    # A fresh interpreter changes asymptotics.DEFAULT_GUARD before cli and
+    # scan are imported: every subcommand's parsed --guard default and the
+    # scan parameters' default follow it.
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    result = subprocess.run(
+        [sys.executable, "-c", GUARD_DEFAULTS],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[('profile', 5), ('roots', 5), ('scan', 5)] 5\n"

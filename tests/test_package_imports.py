@@ -1,4 +1,4 @@
-"""Every name a package module imports is used there.
+"""Every name a package module imports is used there, and a run imports no more.
 
 The one exception is a name that perfbench/tracer.py looks up in that
 module: the tracer wraps it there, so the module keeps the import even
@@ -6,6 +6,9 @@ when its own code calls the function through another path.
 """
 import ast
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -43,3 +46,22 @@ def test_every_imported_name_is_used():
             if name not in used and (path.stem, name) not in traced
         ]
     assert unused == []
+
+
+def test_profile_does_not_import_numpy_ma():
+    # np.unique imports numpy.ma on its first call, about 15 ms and 1.7 MiB
+    # of resident memory in a fresh interpreter; the engine deduplicates by
+    # sorting instead.
+    code = (
+        "import sys\n"
+        "from bettipowers import cli\n"
+        "cli.main(['profile', 'fixtures/mixed6.ideal', '--kmax', '3'])\n"
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
+    )
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr

@@ -1,5 +1,8 @@
 """Exact rank computation, simplicial homology, and the Betti table engine."""
+import contextlib
+import functools
 import math
+import operator
 import random
 import time
 
@@ -171,11 +174,21 @@ def _lattice_or_error(lattice, ideal, cap):
         return str(err)
 
 
+def _dense(ideal):
+    # Whether the key space is dense under the current lattice cap, so the
+    # closure runs on a table rather than on sorted runs.
+    return resolution_engine._KeySpace(ideal.generators).dense
+
+
 def _assert_lattice_matches_reference(ideal):
     expected = lcm_lattice_reference(ideal)
     assert _rows(lcm_lattice(ideal)) == expected
     # The cap admits a lattice of exactly as many points, and rejects a
-    # larger one as soon as a join is added beyond it.
+    # larger one as soon as a join is added beyond it.  With two or more
+    # generators the radix product exceeds the lattice size, so such a cap
+    # runs the sorted-runs closure where the default cap may run the table.
+    radices = [len(set(column)) for column in zip(*ideal.generators)]
+    assert (math.prod(radices) > len(expected)) == (len(ideal.generators) > 1)
     assert _rows(_capped_lattice(ideal, len(expected))) == expected
     cap = len(expected) - 1
     assert _lattice_or_error(_capped_lattice, ideal, cap) == _lattice_or_error(
@@ -192,10 +205,10 @@ def test_lcm_lattice_matches_reference_on_fixtures():
             _assert_lattice_matches_reference(power(ideal, k))
 
 
-def _random_ideals(rng, count, max_exp, max_gens):
-    # Ideals in 1 to 5 variables; a draw of the unit ideal is skipped.
+def _random_ideals(rng, count, max_exp, max_gens, max_vars=5):
+    # Ideals in 1 to max_vars variables; a draw of the unit ideal is skipped.
     for _ in range(count):
-        n = rng.randint(1, 5)
+        n = rng.randint(1, max_vars)
         gens = [
             tuple(rng.randint(0, max_exp) for _ in range(n))
             for _ in range(rng.randint(1, max_gens))
@@ -206,6 +219,15 @@ def _random_ideals(rng, count, max_exp, max_gens):
 
 def test_lcm_lattice_matches_reference_on_random_ideals():
     for ideal in _random_ideals(random.Random(20091), 200, 4, 7):
+        _assert_lattice_matches_reference(ideal)
+
+
+def test_table_closure_matches_runs_closure_and_reference():
+    # In 1 to 6 variables every key space here is dense under the default
+    # cap, so the default runs the table closure and a cap of the lattice
+    # size the sorted runs.
+    for ideal in _random_ideals(random.Random(20121), 150, 4, 7, max_vars=6):
+        assert _dense(ideal)
         _assert_lattice_matches_reference(ideal)
 
 
@@ -390,9 +412,31 @@ def test_upper_koszul_complex_detects_syzygy():
     assert dims[1] == 1  # two disconnected vertices: one first syzygy
 
 
+def _is_cone(maximal):
+    # A complex is a cone, so contractible, when one vertex lies in every
+    # maximal face; the void complex and the empty face alone are not.
+    return functools.reduce(operator.and_, maximal, -1) not in (0, -1)
+
+
+@contextlib.contextmanager
+def _mask_route(ideal):
+    # A lattice cap at the lattice size and below the radix product: the
+    # key space is not dense, so betti_table takes the mask route.
+    size = len(lcm_lattice(ideal))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(resolution_engine, "DEFAULT_LATTICE_CAP", size)
+        assert not _dense(ideal)
+        yield
+
+
 def test_only_points_that_reach_homology_become_python_sets(monkeypatch):
-    # A count, not a time: _maximal_masks runs once per point handed to
-    # _homology_dims_cached, so every skipped point stays in numpy.
+    # Counts, not times.  On the table route _maximal_masks runs once per
+    # distinct complex that is not a cone; on the mask route once per point
+    # handed to _homology_dims_cached, so every skipped point stays in numpy.
+    ideal = power(fixture_ideal("mixed6"), 4)
+    lattice = lcm_lattice(ideal)
+    complexes = {_upper_koszul_reference(ideal, a) for a in _rows(lattice)}
+    distinct = [c for c in complexes if not _is_cone(c)]
     calls = {"_maximal_masks": 0, "_homology_dims_cached": 0}
     for attr in calls:
         original = getattr(resolution_engine, attr)
@@ -402,10 +446,46 @@ def test_only_points_that_reach_homology_become_python_sets(monkeypatch):
             return _original(*args)
 
         monkeypatch.setattr(resolution_engine, attr, counting)
-    ideal = power(fixture_ideal("mixed6"), 4)
+    assert _dense(ideal)
     betti_table(ideal)
+    assert 0 < calls["_maximal_masks"] == len(distinct) <= calls["_homology_dims_cached"]
+    calls.update(dict.fromkeys(calls, 0))
+    with _mask_route(ideal):
+        betti_table(ideal)
     assert 0 < calls["_maximal_masks"] == calls["_homology_dims_cached"]
-    assert calls["_homology_dims_cached"] < len(lcm_lattice(ideal))
+    assert calls["_homology_dims_cached"] < len(lattice)
+
+
+def _assert_routes_agree(ideal, field):
+    table = betti_table(ideal, field)
+    assert ideal.nvars <= 6 and _dense(ideal)
+    if len(ideal.generators) == 1:
+        # One point, so no cap separates the routes: S/(x^g) has beta_1 = 1.
+        g = ideal.generators[0]
+        assert table.entries == {(0, (0,) * ideal.nvars): 1, (1, g): 1}
+        return
+    with _mask_route(ideal):
+        mask = betti_table(ideal, field)
+    assert table.entries == mask.entries
+    assert table.totals == mask.totals
+
+
+def test_table_route_matches_mask_route_on_fixtures():
+    fields = (RATIONALS, GF2, CoefficientField(3))
+    for path in sorted(FIXTURE_DIR.glob("*.ideal")):
+        for ideal_k in powers(fixture_ideal(path.stem), 3):
+            for field in fields:
+                _assert_routes_agree(ideal_k, field)
+
+
+def test_table_route_matches_mask_route_on_random_ideals():
+    fields = (RATIONALS, GF2, CoefficientField(3))
+    checked = 0
+    for trial, ideal in enumerate(_random_ideals(random.Random(20122), 120, 3, 7, max_vars=6)):
+        for ideal_k in powers(ideal, 2):
+            _assert_routes_agree(ideal_k, fields[trial % 3])
+            checked += 1
+    assert checked == 204
 
 
 def test_mixed6_lattice_and_face_counts():
@@ -427,7 +507,8 @@ def _assert_euler_characteristics_match_k_polynomial(ideal, field):
 
 
 def test_euler_characteristics_match_k_polynomial_on_fixtures():
-    for name, kmax in (("mixed6", 6), ("rp2", 3)):
+    # artinian4's powers have dense lcm lattices (80,697 points at k = 6).
+    for name, kmax in (("mixed6", 6), ("rp2", 3), ("artinian4", 6)):
         ideal = fixture_ideal(name)
         for k in range(1, kmax + 1):
             _assert_euler_characteristics_match_k_polynomial(power(ideal, k), RATIONALS)

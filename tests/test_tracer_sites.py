@@ -51,7 +51,10 @@ def test_every_name_the_benchmark_imports_exists():
 
 
 def test_betti_table_calls_its_traced_layers(monkeypatch):
-    calls = {"lcm_lattice": 0, "_homology_dims_cached": 0}
+    # betti_table runs the join closure once.  The table route (at most 6
+    # variables, dense key space) calls it directly, so the traced
+    # lcm_lattice reads 0 there; the mask route calls it through lcm_lattice.
+    calls = {"_join_closure": 0, "lcm_lattice": 0, "_homology_dims_cached": 0}
     for attr in calls:
         original = getattr(resolution_engine, attr)
 
@@ -62,7 +65,12 @@ def test_betti_table_calls_its_traced_layers(monkeypatch):
         monkeypatch.setattr(resolution_engine, attr, counting)
     ideal = parse_ideal("vars: x y; gens: x^2, x*y, y^2")
     assert resolution_engine.betti_table(ideal).totals == (1, 3, 2)
-    assert calls["lcm_lattice"] == 1
+    assert calls["_join_closure"] == 1 and calls["lcm_lattice"] == 0
+    assert calls["_homology_dims_cached"] > 0
+    calls.update(dict.fromkeys(calls, 0))
+    seven = parse_ideal("vars: a b c d e f g; gens: a*b, c*d, e*f*g")
+    assert resolution_engine.betti_table(seven).totals == (1, 3, 3, 1, 0, 0, 0, 0)
+    assert calls["_join_closure"] == 1 and calls["lcm_lattice"] == 1
     assert calls["_homology_dims_cached"] > 0
 
 
