@@ -8,13 +8,13 @@ exact rank kernel (integer rows kept primitive over Q, reduced mod p over
 F_p) and share the vertex order and boundary sign convention.
 
 The engine codes lattice points as mixed-radix keys over the generators'
-distinct values on each axis, and closes them under joins once.  When that
-key space has at most DEFAULT_LATTICE_CAP keys (it is dense), the closure
-marks found keys in a boolean table; otherwise it keeps sorted runs and
-enforces the cap.  In at most 6 variables and a dense key space, each
-point's complex is read as a 2^n-bit face code from the generators'
-up-closure table (the table route); otherwise from the generators that
-divide the point (the mask route).  The two routes give the same tables.
+distinct values on each axis.  When that key space has at most
+DEFAULT_LATTICE_CAP keys (it is dense), one table over the key grid holds
+both the lattice and the generators' up-closure; otherwise the closure joins
+points into sorted runs and enforces the cap.  In at most 6 variables and a
+dense key space, each point's complex is read as a 2^n-bit face code from
+that table (the table route); otherwise from the generators that divide the
+point (the mask route).  The two routes give the same tables.
 """
 from __future__ import annotations
 
@@ -34,7 +34,7 @@ DEFAULT_TAYLOR_CAP = 16
 # Batch size in elements.  A lattice-closure batch and a face-assembly batch
 # take _CHUNK_CELLS // generators points, whose temporaries are points x
 # generators; a face-code batch takes _CHUNK_CELLS >> n points, whose
-# temporaries are points x 2^n subsets.
+# temporaries are points x 2^n subsets; a grid-table batch is _CHUNK_CELLS cells.
 _CHUNK_CELLS = 1 << 15
 
 
@@ -205,7 +205,7 @@ class _KeySpace:
     coded by the ranks of its coordinates among those values, packed into one
     key whose order is lexicographic order.  The space is dense when its size,
     the radix product, is at most DEFAULT_LATTICE_CAP: keys are then int32 and
-    a set of points is one boolean table indexed by key.  Beyond the cap keys
+    the lattice is read from one table indexed by key.  Beyond the cap keys
     are int64 while the radix product is below 2^63, and exact Python ints (an
     object array) past it.  Raises ResourceLimitError when an exponent does
     not fit in int64.
@@ -239,29 +239,44 @@ class _KeySpace:
         return rows
 
 
-def _join_closure(space: _KeySpace) -> np.ndarray:
-    """Sorted keys of the join-closure of the generators under componentwise max.
+def _grid_table(space: _KeySpace) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted keys of the join-closure of a dense key space, and its grid table.
 
-    A dense key space marks the keys found in one boolean table, and holds at
-    most DEFAULT_LATTICE_CAP points.  Otherwise the keys found are kept as
-    sorted runs, and ResourceLimitError is raised as soon as a join is added
-    beyond DEFAULT_LATTICE_CAP points.
+    A point a is a join of generators exactly when, on each axis j, some
+    generator g <= a has g_j = a_j.  Cell a of the table has that bit for each
+    axis of radix >= 2, and a top bit (the up-closure U) when some generator
+    divides a, so the keys are the cells with every bit set; the last cell
+    stays 0.  A dense space has at most 20 such axes, so cells fit in uint32.
+    """
+    swept = [(w, r) for w, r in zip(space.weights.tolist(), space.radices) if r > 1]
+    full = (2 << len(swept)) - 1
+    table = np.zeros(space.size + 1, dtype=np.min_scalar_type(full))
+    table[space.generator_keys] = full
+    for bit, (w, r) in enumerate(swept):
+        # A running OR up the axis carries every bit but the axis's own.
+        axis = table[:-1].reshape(-1, r, w)
+        for i in range(1, r):
+            axis[:, i] |= axis[:, i - 1] & (full ^ 1 << bit)
+    keys = [np.flatnonzero(table[at:at + _CHUNK_CELLS] == full).astype(np.int32) + at
+            for at in range(0, space.size, _CHUNK_CELLS)]
+    return np.concatenate(keys), table
+
+
+def _join_closure(space: _KeySpace) -> np.ndarray:
+    """Sorted keys of the join-closure of a key space that is not dense.
+
+    The keys found are kept as sorted runs, and ResourceLimitError is raised
+    as soon as a join is added beyond DEFAULT_LATTICE_CAP points.
     """
     # Max commutes with scaling by a positive weight, so the key of a join is
     # the sum over j of max(f_j * w_j, g_j * w_j): one 2-D maximum per variable
     # on the weighted columns, each sum below the radix product.
     weighted = (space.ranks * space.weights).T.copy()
-    if space.dense:
-        found = np.zeros(space.size, dtype=bool)
-        found[space.generator_keys] = True
-    else:
-        # runs: disjoint sorted arrays holding every key found, each more than
-        # twice as long as the next, so a chunk is checked against O(log)
-        # arrays and every key is re-sorted O(log) times.
-        runs = [np.sort(space.generator_keys)]
-        count = len(space.generator_keys)
-    # pending: found points not yet joined with the generators, as weighted
-    # columns.
+    # runs: disjoint sorted arrays of the keys found, each over twice as long as
+    # the next, so a chunk meets O(log) arrays and a key is re-sorted O(log) times.
+    runs = [np.sort(space.generator_keys)]
+    count = len(space.generator_keys)
+    # pending: found points not yet joined with the generators, weighted.
     pending = [weighted]
     step = max(1, _CHUNK_CELLS // len(space.ranks))
     scale = space.weights[:, None]
@@ -274,35 +289,25 @@ def _join_closure(space: _KeySpace) -> np.ndarray:
             for f, w in zip(block[1:], weighted[1:]):
                 joins += np.maximum(f, w)
             joins = joins.ravel()
-            if space.dense:
-                # Most joins are found already; the table drops them unsorted.
-                joins = joins[~found[joins]]
-                if not len(joins):
-                    continue
             joins.sort()
             new = joins[np.concatenate(([True], joins[1:] != joins[:-1]))]
-            if space.dense:
-                found[new] = True
-            else:
-                for run in runs:
-                    at = run.searchsorted(new)
-                    at[at == len(run)] = 0
-                    new = new[run[at] != new]
-                if not len(new):
-                    continue
-                count += len(new)
-                if count > DEFAULT_LATTICE_CAP:
-                    raise ResourceLimitError(
-                        f"lcm lattice exceeds cap of {DEFAULT_LATTICE_CAP} elements"
-                    )
-                runs.append(new)
-                while len(runs) > 1 and len(runs[-2]) <= 2 * len(runs[-1]):
-                    merged = np.concatenate((runs.pop(-2), runs.pop()))
-                    merged.sort()
-                    runs.append(merged)
+            for run in runs:
+                at = run.searchsorted(new)
+                at[at == len(run)] = 0
+                new = new[run[at] != new]
+            if not len(new):
+                continue
+            count += len(new)
+            if count > DEFAULT_LATTICE_CAP:
+                raise ResourceLimitError(
+                    f"lcm lattice exceeds cap of {DEFAULT_LATTICE_CAP} elements"
+                )
+            runs.append(new)
+            while len(runs) > 1 and len(runs[-2]) <= 2 * len(runs[-1]):
+                merged = np.concatenate((runs.pop(-2), runs.pop()))
+                merged.sort()
+                runs.append(merged)
             pending.append(new // scale % radix * scale)
-    if space.dense:
-        return found.nonzero()[0].astype(np.int32)
     keys = np.concatenate(runs)
     keys.sort()
     return keys
@@ -318,7 +323,7 @@ def lcm_lattice(I: MonomialIdeal) -> np.ndarray:
     DEFAULT_LATTICE_CAP elements, or when an exponent does not fit in int64.
     """
     space = _KeySpace(I.generators)
-    return space.decode(_join_closure(space))
+    return space.decode(_grid_table(space)[0] if space.dense else _join_closure(space))
 
 
 def _upper_koszul_faces(
@@ -375,20 +380,15 @@ def _subset_tables(n: int) -> tuple[np.ndarray, ...]:
     return members, within, without, shifts
 
 
-def _face_codes(space: _KeySpace, keys: np.ndarray) -> np.ndarray:
+def _face_codes(space: _KeySpace, keys: np.ndarray, table: np.ndarray) -> np.ndarray:
     # Bit F of a point's code is set when F is a face of its upper Koszul
     # complex: 2^n bits, at most 64 for n <= 6.  At a lattice point a, x^(a-F)
     # lies in the ideal exactly when some generator g has g_j < a_j for j in F
     # and g_j <= a_j elsewhere.  In ranks that reads: rank_j >= 1 for j in F,
-    # and key - sum_{j in F} w_j lies in U, the up-closure of the generators
-    # over the key grid.  One 2-D gather per chunk of keys reads U.
+    # and key - sum_{j in F} w_j lies in U, the generators' up-closure: the
+    # top bit of the grid table, read by one 2-D gather per chunk of keys.
     n = len(space.radices)
-    U = np.zeros(space.size + 1, dtype=bool)  # U[size] stays False
-    U[space.generator_keys] = True
-    for w, r in zip(space.weights.tolist(), space.radices):
-        axis = U[:-1].reshape(-1, r, w)
-        for i in range(1, r):
-            axis[:, i] |= axis[:, i - 1]
+    top = 1 << sum(r > 1 for r in space.radices)
     members, within, without, shifts = _subset_tables(n)
     offsets = (space.weights @ members).astype(np.int32)  # sum of w_j over F
     radices = np.array(space.radices, dtype=np.int32)
@@ -397,23 +397,24 @@ def _face_codes(space: _KeySpace, keys: np.ndarray) -> np.ndarray:
     for at in range(0, len(keys), step):
         chunk = keys[at:at + step, None]
         # support: bit j is set when rank_j >= 1, in one byte.  A face off
-        # the support reads U[size].
+        # the support reads the table's last cell, 0.
         positive = chunk // space.weights % radices != 0
         support = np.packbits(positive, axis=1, bitorder="little")[:, 0]
         cells = np.where(within[support], chunk - offsets, space.size)
-        packed.append(np.packbits(U[cells], axis=1, bitorder="little"))
+        packed.append(np.packbits(table[cells] >= top, axis=1, bitorder="little"))
     return np.concatenate(packed).view(without.dtype).ravel()
 
 
 def _table_cells(
-    space: _KeySpace, keys: np.ndarray, characteristic: int
+    space: _KeySpace, characteristic: int
 ) -> Iterator[tuple[list[ExponentVector], tuple[int, ...]]]:
     # The table route: (exponent rows, homology dims) once per distinct face
     # code with nonzero homology.  Cones are contractible and stay in numpy;
     # each other distinct code reaches _maximal_masks and the homology once,
     # and only the points of codes with nonzero homology are decoded.
     n = len(space.radices)
-    codes = _face_codes(space, keys)
+    keys, table = _grid_table(space)
+    codes = _face_codes(space, keys, table)
     distinct = np.sort(codes)
     distinct = distinct[np.concatenate(([True], distinct[1:] != distinct[:-1]))]
     # A complex is a cone over j when F + j is a face for every face F
@@ -435,8 +436,7 @@ def _table_cells(
         dims = _homology_dims_cached(n, maximal, characteristic)
         if any(dims):
             homologous.append(((codes == c).nonzero()[0], dims))
-    # Every generator's complex is the empty face alone, so homologous is not
-    # empty.
+    # Each generator's complex is the empty face alone: homologous is not empty.
     rows = space.decode(keys[np.concatenate([at for at, _ in homologous])]).tolist()
     start = 0
     for at, dims in homologous:
@@ -492,7 +492,7 @@ def betti_table(I: MonomialIdeal, F: CoefficientField = RATIONALS) -> BettiTable
     char = F.characteristic
     space = _KeySpace(I.generators)
     if n <= 6 and space.dense:
-        cells = _table_cells(space, _join_closure(space), char)
+        cells = _table_cells(space, char)
     else:
         cells = _mask_cells(I, char)
     entries: dict[tuple[int, ExponentVector], int] = {(0, (0,) * n): 1}

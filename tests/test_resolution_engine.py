@@ -5,6 +5,7 @@ import math
 import operator
 import random
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -176,7 +177,7 @@ def _lattice_or_error(lattice, ideal, cap):
 
 def _dense(ideal):
     # Whether the key space is dense under the current lattice cap, so the
-    # closure runs on a table rather than on sorted runs.
+    # lattice comes from the grid table rather than from sorted runs.
     return resolution_engine._KeySpace(ideal.generators).dense
 
 
@@ -186,7 +187,8 @@ def _assert_lattice_matches_reference(ideal):
     # The cap admits a lattice of exactly as many points, and rejects a
     # larger one as soon as a join is added beyond it.  With two or more
     # generators the radix product exceeds the lattice size, so such a cap
-    # runs the sorted-runs closure where the default cap may run the table.
+    # runs the sorted-runs closure where the default cap may read the grid
+    # table.
     radices = [len(set(column)) for column in zip(*ideal.generators)]
     assert (math.prod(radices) > len(expected)) == (len(ideal.generators) > 1)
     assert _rows(_capped_lattice(ideal, len(expected))) == expected
@@ -222,13 +224,64 @@ def test_lcm_lattice_matches_reference_on_random_ideals():
         _assert_lattice_matches_reference(ideal)
 
 
-def test_table_closure_matches_runs_closure_and_reference():
+def test_grid_table_matches_runs_closure_and_reference():
     # In 1 to 6 variables every key space here is dense under the default
-    # cap, so the default runs the table closure and a cap of the lattice
-    # size the sorted runs.
+    # cap, so the default reads the lattice from the grid table and a cap of
+    # the lattice size runs the sorted-runs closure.
     for ideal in _random_ideals(random.Random(20121), 150, 4, 7, max_vars=6):
         assert _dense(ideal)
         _assert_lattice_matches_reference(ideal)
+
+
+def _squarefree(n, count):
+    # count squarefree generators in n >= count variables: generator s holds
+    # the variables j with j % count in {s, s + 1}, so every axis has radix 2.
+    gens = [
+        tuple(int(j % count in (s, (s + 1) % count)) for j in range(n)) for s in range(count)
+    ]
+    return MonomialIdeal.from_generators([f"x{j}" for j in range(n)], gens)
+
+
+def test_grid_table_on_radix_one_axes_and_wide_cells():
+    # The grid table has one bit per axis of radix >= 2 plus the up-closure
+    # bit, in the narrowest unsigned dtype.  Axes of radix 1 (a variable in
+    # no generator, an exponent every generator shares) get no bit; a single
+    # generator, in any number of variables, gets the up-closure bit alone.
+    radix_one = [
+        parse_ideal("vars: x y z; gens: x^2, x*y, y^3"),
+        parse_ideal("vars: x y z; gens: x^2*z, x*y*z, y^3*z"),
+        parse_ideal("vars: x y z w; gens: x^2*w, y*z^2*w, x*y*z*w"),
+        parse_ideal("vars: x y z; gens: x^2*y^3"),
+        parse_ideal("vars: x; gens: x^3"),
+        parse_ideal("vars: a b c d e f g h; gens: a*b^2*c*d*e*f*g*h"),
+    ]
+    for ideal in radix_one:
+        for ideal_k in powers(ideal, 3):
+            _assert_lattice_matches_reference(ideal_k)
+            if ideal.nvars <= 6:
+                _assert_routes_agree(ideal_k, RATIONALS)
+            if len(ideal.generators) == 1:
+                space = resolution_engine._KeySpace(ideal_k.generators)
+                _, table = resolution_engine._grid_table(space)
+                assert table.dtype == np.uint8 and table.tolist() == [1, 0]
+    # n axes of radix 2 need n + 1 bits: uint8 up to 7 axes, uint16 up to 15,
+    # and uint32 up to 20, where the radix product 2^20 is DEFAULT_LATTICE_CAP.
+    for n, dtype in ((7, np.uint8), (8, np.uint16), (15, np.uint16), (16, np.uint32),
+                     (20, np.uint32)):
+        ideal = _squarefree(n, 5)
+        space = resolution_engine._KeySpace(ideal.generators)
+        assert space.radices == [2] * n and space.dense
+        keys, table = resolution_engine._grid_table(space)
+        assert table.dtype == dtype and len(table) == 2**n + 1 and table[-1] == 0
+        assert _rows(space.decode(keys)) == lcm_lattice_reference(ideal)
+        _assert_lattice_matches_reference(ideal)
+    # The top bit is the up-closure: set exactly where a generator divides.
+    ideal = _squarefree(8, 3)
+    space = resolution_engine._KeySpace(ideal.generators)
+    _, table = resolution_engine._grid_table(space)
+    grid = space.decode(np.arange(space.size))
+    divides = (np.array(ideal.generators)[:, None] <= grid).all(axis=2).any(axis=0)
+    assert np.array_equal(table[:-1] >= 1 << 8, divides)
 
 
 def _wide_keys(ideal):
@@ -486,6 +539,33 @@ def test_table_route_matches_mask_route_on_random_ideals():
             _assert_routes_agree(ideal_k, fields[trial % 3])
             checked += 1
     assert checked == 204
+
+
+def test_dense_betti_table_time_alarm():
+    # A regression alarm, not a benchmark: art4^8 has 268,819 lattice points
+    # and 804 generators.  Reading its lattice from the grid table takes about
+    # 0.1 s on a 2-CPU host; closing it by joins took 1.7 s.
+    ideal = power(fixture_ideal("artinian4"), 8)
+    start = time.perf_counter()
+    totals = betti_table(ideal).totals
+    elapsed = time.perf_counter() - start
+    assert totals == (1, 804, 2792, 3134, 1145)
+    assert elapsed < 1.0, f"took {elapsed:.2f}s"
+
+
+def test_dense_betti_table_memory_alarm():
+    # Traced allocations of a warm betti_table on mixed6^8 peak near 1.35
+    # MiB.  A boolean mask over the whole key grid would add about 0.75 MiB,
+    # so the lattice keys are searched for one batch of cells at a time.
+    ideal = power(fixture_ideal("mixed6"), 8)
+    betti_table(ideal)
+    tracemalloc.start()
+    try:
+        betti_table(ideal)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * 2**20, f"peak {peak / 2**10:.0f} KiB"
 
 
 def test_mixed6_lattice_and_face_counts():

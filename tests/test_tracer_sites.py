@@ -51,10 +51,14 @@ def test_every_name_the_benchmark_imports_exists():
 
 
 def test_betti_table_calls_its_traced_layers(monkeypatch):
-    # betti_table runs the join closure once.  The table route (at most 6
-    # variables, dense key space) calls it directly, so the traced
-    # lcm_lattice reads 0 there; the mask route calls it through lcm_lattice.
-    calls = {"_join_closure": 0, "lcm_lattice": 0, "_homology_dims_cached": 0}
+    # betti_table closes the lattice once.  The table route (at most 6
+    # variables, dense key space) reads it from _grid_table directly, so the
+    # traced lcm_lattice reads 0 there.  The mask route calls lcm_lattice,
+    # which closes a dense key space with _grid_table and any other with
+    # _join_closure.
+    calls = dict.fromkeys(
+        ("_grid_table", "_join_closure", "lcm_lattice", "_homology_dims_cached"), 0
+    )
     for attr in calls:
         original = getattr(resolution_engine, attr)
 
@@ -65,13 +69,23 @@ def test_betti_table_calls_its_traced_layers(monkeypatch):
         monkeypatch.setattr(resolution_engine, attr, counting)
     ideal = parse_ideal("vars: x y; gens: x^2, x*y, y^2")
     assert resolution_engine.betti_table(ideal).totals == (1, 3, 2)
-    assert calls["_join_closure"] == 1 and calls["lcm_lattice"] == 0
+    assert calls["_grid_table"] == 1
+    assert calls["_join_closure"] == calls["lcm_lattice"] == 0
     assert calls["_homology_dims_cached"] > 0
     calls.update(dict.fromkeys(calls, 0))
     seven = parse_ideal("vars: a b c d e f g; gens: a*b, c*d, e*f*g")
     assert resolution_engine.betti_table(seven).totals == (1, 3, 3, 1, 0, 0, 0, 0)
-    assert calls["_join_closure"] == 1 and calls["lcm_lattice"] == 1
+    assert calls["_grid_table"] == calls["lcm_lattice"] == 1
+    assert calls["_join_closure"] == 0
     assert calls["_homology_dims_cached"] > 0
+    # A lattice cap at the lattice size (6 points) is below the radix product
+    # (9), so the key space is not dense and the mask route closes it by joins.
+    monkeypatch.setattr(resolution_engine, "DEFAULT_LATTICE_CAP", 6)
+    calls.update(dict.fromkeys(calls, 0))
+    assert resolution_engine.betti_table(ideal).totals == (1, 3, 2)
+    assert calls["_join_closure"] == calls["lcm_lattice"] == 1
+    assert calls["_grid_table"] == 0
+    assert len(resolution_engine.lcm_lattice(ideal)) == 6
 
 
 def test_root_locus_calls_its_traced_layers(monkeypatch):
