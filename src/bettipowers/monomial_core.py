@@ -3,6 +3,12 @@
 Exponent vectors are plain tuples of non-negative integers; a monomial ideal
 is a finite antichain of such vectors together with an ordered variable list.
 All operations are pure functions on immutable data.
+
+Minimal generators come from one numpy pass (see _minimal): the vectors are
+sorted by (total degree, lex), neighbours that are equal are dropped, and a
+vector is kept iff no vector of smaller degree divides it.  Arrays are int64
+while every degree is below 2^63, and exact Python ints (an object array)
+past it, so no sum wraps.
 """
 from __future__ import annotations
 
@@ -13,7 +19,12 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
+import numpy as np
+
 ExponentVector = tuple  # tuple[int, ...], length = number of variables
+
+# Divisibility cells (vectors x vectors of smaller degree) per batch of _minimal.
+_CHUNK_CELLS = 1 << 15
 
 
 class IdealSyntaxError(ValueError):
@@ -29,17 +40,63 @@ def divides(g: Sequence[int], u: Sequence[int]) -> bool:
     return all(map(operator.le, g, u))
 
 
-def minimalize(gens: Iterable[Sequence[int]]) -> tuple[ExponentVector, ...]:
-    """Reduce a generating set to the unique minimal antichain.
+def _graded(gens: Iterable[Sequence[int]]) -> list[tuple[int, ...]]:
+    # Each vector with its total degree in front.
+    return [(sum(g), *g) for g in gens]
 
-    A vector is kept iff no other given vector strictly divides it.  Scanning
-    in order of increasing total degree makes a single pass sufficient.
+
+def _columns(rows: list[tuple[int, ...]], top: int) -> np.ndarray:
+    # The rows as (1 + n, len(rows)) columns; top bounds every degree they
+    # sum to, and so every entry of non-negative vectors.
+    return np.array(rows, dtype=np.int64 if top < 1 << 63 else object).T
+
+
+def _minimal(T: np.ndarray) -> tuple[ExponentVector, ...]:
+    """The minimal antichain of the columns of T (degree row first), sorted.
+
+    If g divides u and g != u then deg g < deg u, and two vectors of one
+    degree divide each other only when they are equal.  So, sorted by
+    (degree, lex), a vector is minimal iff no vector of strictly smaller
+    degree divides it, and those all lie in the sorted prefix before its
+    degree class; when every vector has one degree, none is tested.  Before
+    the test, equal neighbours are dropped so it sees each vector once; it
+    runs one comparison per variable over batches of at most _CHUNK_CELLS
+    vectors x prefix cells.  Equal vectors left over are dropped last.
     """
-    out: list[ExponentVector] = []
-    for g in sorted({tuple(v) for v in gens}, key=lambda v: (sum(v), v)):
-        if not any(divides(h, g) for h in out):
-            out.append(g)
-    return tuple(out)
+    T = T[:, np.lexsort(T[::-1])]
+    deg = T[0]
+    if deg[0] < deg[-1]:
+        fresh = np.ones(len(deg), dtype=bool)
+        np.logical_or.reduce(T[:, 1:] != T[:, :-1], axis=0, out=fresh[1:])
+        T = T[:, fresh]
+        deg = T[0]
+        size, last = len(deg), deg.searchsorted(deg[-1])
+        divided = np.zeros(size, dtype=bool)
+        step = max(1, _CHUNK_CELLS // last)
+        for start in range(0, size, step):
+            stop = min(start + step, size)
+            prefix = last if stop == size else deg.searchsorted(deg[stop - 1])
+            low, high = T[:, :prefix], T[:, start:stop, None]
+            # Strictly smaller degree leaves out the vector itself.
+            D = low[0] < high[0]
+            for a, b in zip(low[1:], high[1:]):
+                D &= a <= b
+            np.logical_or.reduce(D, axis=1, out=divided[start:stop])
+        T = T[:, ~divided]
+    return tuple(dict.fromkeys(map(tuple, T[1:].T.tolist())))
+
+
+def minimalize(gens: Iterable[Sequence[int]]) -> tuple[ExponentVector, ...]:
+    """Reduce vectors of non-negative integers to the unique minimal antichain.
+
+    A vector is kept iff no other given vector strictly divides it; the result
+    is sorted by (total degree, lex) and holds tuples of Python ints.  The
+    work is one sort and one batched divisibility test (see _minimal).
+    """
+    rows = _graded(gens)
+    if not rows:
+        return ()
+    return _minimal(_columns(rows, max(rows)[0]))
 
 
 @dataclass(frozen=True)
@@ -58,7 +115,9 @@ class MonomialIdeal:
         variables = tuple(variables)
         if len(set(variables)) != len(variables):
             raise ValueError("duplicate variable names")
-        gens = minimalize(gens)
+        # Checked before minimalize builds an array, which would truncate a
+        # float exponent and reject ragged rows with numpy's own message.
+        gens = [tuple(map(operator.index, g)) for g in gens]
         if not gens:
             raise ValueError("empty generator list")
         n = len(variables)
@@ -67,6 +126,7 @@ class MonomialIdeal:
                 raise ValueError(f"generator {g} has wrong length, expected {n}")
             if any(e < 0 for e in g):
                 raise ValueError(f"negative exponent in generator {g}")
+        gens = minimalize(gens)
         if gens[0] == (0,) * n:
             raise ValueError("unit generator: the unit ideal is not accepted as input")
         return cls(variables, gens)
@@ -198,15 +258,19 @@ def power(I: MonomialIdeal, k: int) -> MonomialIdeal:
 
 
 def product(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
-    """The product ideal I*J (same ambient variables)."""
+    """The product ideal I*J (same ambient variables).
+
+    The candidate sums g + h are one broadcast add over the generators'
+    columns, in the dtype the largest candidate degree needs (see
+    _columns); _minimal sorts them and keeps the minimal ones.
+    """
     if I.variables != J.variables:
         raise ValueError("ideals live in different polynomial rings")
-    prods = {
-        tuple(a + b for a, b in zip(g, h))
-        for g in I.generators
-        for h in J.generators
-    }
-    return MonomialIdeal(I.variables, minimalize(prods))
+    m = len(I.generators)
+    rows = _graded(I.generators + J.generators)
+    A = _columns(rows, max(rows[:m])[0] + max(rows[m:])[0])
+    T = (A[:, :m, None] + A[:, None, m:]).reshape(len(A), -1)
+    return MonomialIdeal(I.variables, _minimal(T))
 
 
 def _pure_powers(I: MonomialIdeal) -> dict[int, int]:

@@ -9,7 +9,7 @@ that the engine wrongly skips or adds shows up as a wrong coefficient.
 """
 from collections import defaultdict
 
-from bettipowers.monomial_core import minimalize
+from _power_reference import minimalize_reference
 
 
 def _shift(a, m):
@@ -36,14 +36,16 @@ def k_polynomial(generators, nvars):
         else:
             *rest, m = gens
             rest = tuple(rest)
-            colon = minimalize(tuple(max(x - y, 0) for x, y in zip(g, m)) for g in rest)
+            colon = minimalize_reference(
+                tuple(max(x - y, 0) for x, y in zip(g, m)) for g in rest
+            )
             out = defaultdict(int, k(rest))
             for a, c in k(colon).items():
                 out[_shift(a, m)] -= c
         memo[gens] = out
         return out
 
-    return {a: c for a, c in k(minimalize(generators)).items() if c}
+    return {a: c for a, c in k(minimalize_reference(generators)).items() if c}
 
 
 def euler_characteristics(table):

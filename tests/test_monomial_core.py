@@ -1,8 +1,12 @@
 """Parsing, ideal arithmetic, and the small exact invariants."""
 import itertools
+import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
+from bettipowers import monomial_core
 from bettipowers.monomial_core import (
     IdealSyntaxError,
     MonomialIdeal,
@@ -12,9 +16,13 @@ from bettipowers.monomial_core import (
     minimalize,
     parse_ideal,
     power,
+    powers,
     product,
     socle_dimension,
 )
+
+from _fixtures import FIXTURE_DIR, fixture_ideal
+from _power_reference import minimalize_reference
 
 
 def test_parse_basic():
@@ -65,14 +73,33 @@ def test_divides_and_contains():
 
 
 def test_from_generators_validation():
-    with pytest.raises(ValueError):
-        MonomialIdeal.from_generators(("x",), [(1, 0)])
-    with pytest.raises(ValueError):
-        MonomialIdeal.from_generators(("x",), [(-1,)])
-    with pytest.raises(ValueError):
-        MonomialIdeal.from_generators(("x",), [])
-    with pytest.raises(ValueError):
-        MonomialIdeal.from_generators(("x", "y"), [(0, 0)])
+    # Lengths and signs are checked before any array is built, so a ragged
+    # list gets this message rather than numpy's inhomogeneous-shape error.
+    cases = [
+        (("x",), [(1, 0)], "generator (1, 0) has wrong length, expected 1"),
+        (("x", "y"), [(1, 0), (1,)], "generator (1,) has wrong length, expected 2"),
+        (("x", "y"), [(2, 1), (1, 2, 3)], "generator (1, 2, 3) has wrong length, expected 2"),
+        (("x",), [(-1,)], "negative exponent in generator (-1,)"),
+        (("x", "y"), [(1, 1), (0, -2)], "negative exponent in generator (0, -2)"),
+        (("x",), [], "empty generator list"),
+        (("x", "y"), [(0, 0)], "unit generator: the unit ideal is not accepted as input"),
+        (("x", "y"), [(1, 2), (0, 0)], "unit generator: the unit ideal is not accepted as input"),
+        ((), [()], "unit generator: the unit ideal is not accepted as input"),
+        (("x", "x"), [(1, 0)], "duplicate variable names"),
+    ]
+    for variables, gens, message in cases:
+        with pytest.raises(ValueError) as err:
+            MonomialIdeal.from_generators(variables, gens)
+        assert str(err.value) == message
+    # A float exponent is refused rather than truncated by an integer array.
+    with pytest.raises(TypeError):
+        MonomialIdeal.from_generators(("x",), [(1.5,)])
+
+
+def test_from_generators_keeps_python_ints():
+    ideal = MonomialIdeal.from_generators(("x", "y"), [np.array([2, 1]), [np.int64(1), 3]])
+    assert ideal.generators == ((2, 1), (1, 3))
+    assert all(type(e) is int for g in ideal.generators for e in g)
 
 
 def test_power_of_maximal():
@@ -101,7 +128,7 @@ def _power_reference(I, k):
         tuple(map(sum, zip(*combo)))
         for combo in itertools.combinations_with_replacement(I.generators, k)
     }
-    return MonomialIdeal(I.variables, minimalize(prods))
+    return MonomialIdeal(I.variables, minimalize_reference(prods))
 
 
 def test_power_matches_all_products_of_k_generators():
@@ -113,6 +140,103 @@ def test_power_matches_all_products_of_k_generators():
         ideal = parse_ideal(text)
         for k in range(1, 6):
             assert power(ideal, k) == _power_reference(ideal, k), (text, k)
+
+
+def test_powers_match_reference_on_fixtures():
+    names = sorted(path.stem for path in FIXTURE_DIR.glob("*.ideal"))
+    assert "artinian4" in names
+    for name in names:
+        ideal = fixture_ideal(name)
+        kmax = 6 if name == "artinian4" else 4
+        for k, P in enumerate(powers(ideal, kmax), start=1):
+            assert P.generators == _power_reference(ideal, k).generators, (name, k)
+
+
+def _assert_minimalize_matches_reference(gens):
+    got = minimalize(gens)
+    assert got == minimalize_reference(gens), gens
+    assert all(type(g) is tuple and all(type(e) is int for e in g) for g in got)
+
+
+def test_minimalize_matches_reference_on_random_vectors(monkeypatch):
+    # Budgets of 1 and 7 cells split every input into many batches.
+    for cells in (monomial_core._CHUNK_CELLS, 1, 7):
+        monkeypatch.setattr(monomial_core, "_CHUNK_CELLS", cells)
+        rng = random.Random(20140)
+        for n in range(1, 10):
+            _assert_minimalize_matches_reference([(0,) * n])
+            _assert_minimalize_matches_reference([tuple(range(n))])
+            for _ in range(60):
+                top = rng.choice((1, 2, 3, 6))
+                gens = [
+                    tuple(rng.randint(0, top) for _ in range(n))
+                    for _ in range(rng.randint(1, 40))
+                ]
+                # Duplicates, and sometimes the zero vector, which divides all.
+                gens += rng.sample(gens, rng.randint(0, len(gens)))
+                if rng.random() < 0.1:
+                    gens.append((0,) * n)
+                rng.shuffle(gens)
+                _assert_minimalize_matches_reference(gens)
+    assert minimalize([]) == ()
+    assert minimalize(iter([(3,), (1,), (2,), (1,)])) == ((1,),)
+
+
+def test_minimalize_past_int64():
+    rng = random.Random(20141)
+    edge = 1 << 63
+    # Exponents of 2^63 and above, beside small ones.
+    _assert_minimalize_matches_reference([(edge, 0), (edge + 1, 1), (0, edge), (1, 1)])
+    _assert_minimalize_matches_reference([(edge - 1, 0), (edge, 0), (1 << 64, 1 << 64)])
+    # Every exponent fits in int64 but no degree does: 37 coordinates near
+    # 2^58 and 3 small ones, so int64 sums would wrap.
+    for _ in range(20):
+        base = [rng.randint((1 << 58) - (1 << 54), 1 << 58) for _ in range(37)]
+        gens = [
+            tuple(rng.randint(0, 4) for _ in range(3)) + tuple(base) for _ in range(12)
+        ]
+        assert sum(min(column) for column in zip(*gens)) >= edge
+        _assert_minimalize_matches_reference(gens)
+
+
+def test_product_and_power_past_int64():
+    big = 1 << 62
+    ideal = MonomialIdeal.from_generators(("x", "y"), [(big, big)])
+    assert product(ideal, ideal).generators == ((2 * big, 2 * big),)
+    assert power(ideal, 3).generators == ((3 * big, 3 * big),)
+    # Candidate degrees up to 2^63 - 1 stay in int64; past it, exact ints.
+    I = MonomialIdeal.from_generators(("x", "y"), [(big, 0), (1, big - 1)])
+    J = MonomialIdeal.from_generators(("x", "y"), [(big - 1, 0), (0, big - 1)])
+    sums = [tuple(map(sum, zip(g, h))) for g in I.generators for h in J.generators]
+    assert max(map(sum, sums)) == (1 << 63) - 1
+    assert product(I, J).generators == minimalize_reference(sums)
+    for gens in (
+        [(big - 1, 0), (0, big - 1), (big - 2, 1)],  # squares reach 2^63 - 2
+        [(big, 0), (0, big), (big - 1, 1), (1, big - 1)],
+        [(big + 5, big), (2, 3), (big, big + 5)],
+    ):
+        ideal = MonomialIdeal.from_generators(("x", "y"), gens)
+        for k in range(1, 5):
+            P = power(ideal, k)
+            assert P == _power_reference(ideal, k), (gens, k)
+            assert all(type(e) is int for g in P.generators for e in g)
+
+
+def test_product_memory_alarm():
+    # The divisibility test runs in batches of at most _CHUNK_CELLS cells:
+    # art4^13 (3,354 generators) times art4 peaks near 2 MiB of traced
+    # allocations, where one unbatched test of every vector against its
+    # prefix peaked near 41 MiB.
+    ideal = fixture_ideal("artinian4")
+    base = power(ideal, 13)
+    tracemalloc.start()
+    try:
+        gens = product(base, ideal).generators
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(gens) == 4179
+    assert peak <= 4 << 20, f"peak {peak / 1024:.0f} KiB"
 
 
 def test_is_artinian():

@@ -553,6 +553,18 @@ def test_dense_betti_table_time_alarm():
     assert elapsed < 1.0, f"took {elapsed:.2f}s"
 
 
+def test_dense_power_time_alarm():
+    # A regression alarm, not a benchmark: building art4^1..art4^14 by the
+    # batched divisibility test takes about 0.3 s on a 2-CPU host; the
+    # pairwise scan it replaced took 7-10 s.
+    ideal = fixture_ideal("artinian4")
+    start = time.perf_counter()
+    gens = power(ideal, 14).generators
+    elapsed = time.perf_counter() - start
+    assert len(gens) == 4179
+    assert elapsed < 2.0, f"took {elapsed:.2f}s"
+
+
 def test_dense_betti_table_memory_alarm():
     # Traced allocations of a warm betti_table on mixed6^8 peak near 1.35
     # MiB.  A boolean mask over the whole key grid would add about 0.75 MiB,
