@@ -97,7 +97,10 @@ def betti_series(
         try:
             table = betti_table(ideal_k, F)
         except Exception as exc:
-            exc.args = (f"power k={k}: {exc}",)
+            # Name the power only in an exception whose one argument is its
+            # message; structured arguments (an errno, a key) stay intact.
+            if exc.args == (str(exc),):
+                exc.args = (f"power k={k}: {exc}",)
             raise
         if k == 1:
             first = table

@@ -7,13 +7,20 @@ as separate finding records.  Three failures are recorded in place without
 aborting the stream: a resource limit, a violated profile invariant and a
 violated engine invariant (the last two also as findings).  Any other
 exception is a fault and propagates.
+
+Within one scan a repeated ideal is computed once: the generators, with the
+scan's fixed kmax, guard and field, decide the whole record, so a later draw
+of the same ideal gets a copy of the first record's outcome under its own
+index (memo bounded by SCAN_MEMO_CAP distinct ideals).  timing_seconds is
+the time actually spent on each record, so repeats report about 0.
 """
 from __future__ import annotations
 
+import copy
 import json
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterator, Optional, TextIO
 
 from .asymptotics import (
@@ -36,6 +43,10 @@ from .resolution_engine import (
 from .verdicts import FAILS, VerdictReport, full_report
 
 RECORD_SEED_STRIDE = 1_000_003
+
+# Distinct ideals whose records one run_scan call keeps for reuse (about
+# 1.7 KB each in three variables); read at call time.
+SCAN_MEMO_CAP = 1024
 
 
 @dataclass(frozen=True)
@@ -125,10 +136,13 @@ def _finding(kind: str, record: ScanRecord, **detail) -> dict:
     }
 
 
+def _record_ideal(params: ScanParameters, index: int) -> MonomialIdeal:
+    return random_ideal(random.Random(params.seed * RECORD_SEED_STRIDE + index), params)
+
+
 def scan_record(params: ScanParameters, index: int) -> ScanRecord:
     """Compute one fully deterministic record for (params.seed, index)."""
-    rng = random.Random(params.seed * RECORD_SEED_STRIDE + index)
-    ideal = random_ideal(rng, params)
+    ideal = _record_ideal(params, index)
     kmax = params.kmax if params.kmax is not None else default_kmax(ideal)
     record = ScanRecord(
         index=index,
@@ -169,9 +183,35 @@ def _report_findings(report: VerdictReport, record: ScanRecord) -> list[dict]:
     ]
 
 
+def _reindexed(record: ScanRecord, index: int) -> ScanRecord:
+    """record's outcome as the record of index, sharing nothing mutable with it."""
+    start = time.perf_counter()
+    profile, verdicts, findings = copy.deepcopy(
+        (record.profile, record.verdicts, record.findings)
+    )
+    for finding in findings:
+        finding["index"] = index
+    copied = replace(
+        record, index=index, profile=profile, verdicts=verdicts, findings=findings
+    )
+    copied.timing = time.perf_counter() - start
+    return copied
+
+
 def run_scan(params: ScanParameters) -> Iterator[ScanRecord]:
+    # Records are kept as private copies, so a caller that edits a yielded
+    # record cannot change the records of later repeats.
+    memo: dict[tuple[tuple[int, ...], ...], ScanRecord] = {}
     for index in range(params.count):
-        yield scan_record(params, index)
+        generators = _record_ideal(params, index).generators
+        first = memo.get(generators)
+        if first is not None:
+            yield _reindexed(first, index)
+            continue
+        record = scan_record(params, index)
+        if len(memo) < SCAN_MEMO_CAP:
+            memo[generators] = _reindexed(record, index)
+        yield record
 
 
 def write_jsonl(

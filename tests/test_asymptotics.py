@@ -213,3 +213,24 @@ def test_series_error_annotation(monkeypatch):
         betti_series(fixture_ideal("maximal2"), 3)
     assert str(err.value) == "power k=1: bad"
     assert err.value.roots == [1j]
+
+
+@pytest.mark.parametrize(
+    "error",
+    [OSError(28, "No space left on device"), KeyError("x1"), KeyError(3), ValueError("a", 2)],
+    ids=["errno", "str-key", "int-key", "two-args"],
+)
+def test_series_error_keeps_structured_arguments(monkeypatch, error):
+    # Only a lone message gets the power's name; any other arguments reach
+    # the caller exactly as raised.
+    args = error.args
+
+    def broken(ideal, field):
+        raise error
+
+    monkeypatch.setattr(asymptotics, "betti_table", broken)
+    with pytest.raises(type(error)) as err:
+        betti_series(fixture_ideal("maximal2"), 3)
+    assert err.value is error and err.value.args == args
+    if isinstance(error, OSError):
+        assert (err.value.errno, err.value.strerror) == (28, "No space left on device")

@@ -143,6 +143,18 @@ def test_scan_jsonl_determinism(tmp_path, capsys):
     assert out_path.read_bytes() == first
 
 
+def test_scan_matches_benchmark_reference_bytes(capsys):
+    # The benchmark's seed-1 reference was written by computing every record
+    # afresh, so it also catches a scan that reuses the wrong record.
+    reference = Path(__file__).parents[1] / "perfbench" / "reference" / "scan-sqfree3-seed1.jsonl"
+    code, out, _ = _run(
+        capsys,
+        ["scan", "--vars", "3", "--gens", "4", "--max-exp", "1", "--count", "100", "--seed=1"],
+    )
+    assert code == 0
+    assert out.encode() == reference.read_bytes()
+
+
 def test_scan_timing_flag_adds_field(tmp_path, capsys):
     out_path = tmp_path / "scan.jsonl"
     code, _, _ = _run(

@@ -11,12 +11,13 @@ property of the class and not of a particular seed.
 """
 from __future__ import annotations
 
+import io
 import itertools
 from fractions import Fraction
 
 import pytest
 
-from bettipowers import asymptotics
+from bettipowers import asymptotics, scan
 from bettipowers.asymptotics import (
     KodiyalamProfile,
     betti_series,
@@ -24,7 +25,7 @@ from bettipowers.asymptotics import (
 )
 from bettipowers.monomial_core import MonomialIdeal
 from bettipowers.resolution_engine import RATIONALS, EngineInvariantError, ResourceLimitError
-from bettipowers.scan import ScanParameters, scan_record
+from bettipowers.scan import ScanParameters, run_scan, scan_record, write_jsonl
 from bettipowers.verdicts import FAILS, HOLDS, conjecture_check, full_report
 
 VARS3 = ("x", "y", "z")
@@ -161,3 +162,115 @@ def test_unexpected_engine_errors_propagate(monkeypatch):
     monkeypatch.setattr(asymptotics, "betti_table", faulty)
     with pytest.raises(ZeroDivisionError, match="power k=1: division by zero"):
         scan_record(params, 0)
+
+
+def _jsonl(records) -> list[str]:
+    stream = io.StringIO()
+    write_jsonl(iter(records), stream)
+    return stream.getvalue().splitlines()
+
+
+def _first_repeat(params: ScanParameters) -> tuple:
+    """The generators of the first ideal the scan draws more than once."""
+    seen = set()
+    for index in range(params.count):
+        generators = scan._record_ideal(params, index).generators
+        if generators in seen:
+            return generators
+        seen.add(generators)
+    raise AssertionError("no repeated ideal")
+
+
+@pytest.mark.parametrize(
+    "max_exp, count, seed", [(1, 100, 1), (1, 100, 2), (1, 100, 3), (2, 80, 10)]
+)
+def test_scan_reuses_repeats_exactly(max_exp, count, seed):
+    # A repeated ideal's record is its first record under its own index and
+    # shares no mutable part with it; the mixed-degree box at seed 10 draws a
+    # violating ideal at 58 and again at 79.
+    params = ScanParameters(3, 4, max_exp, count=count, seed=seed)
+    records = list(run_scan(params))
+    assert _jsonl(records) == _jsonl(scan_record(params, i) for i in range(count))
+    first = {}
+    for record in records:
+        earlier = first.setdefault(record.generators, record)
+        if earlier is record:
+            continue
+        for name in ("profile", "verdicts", "findings"):
+            assert getattr(record, name) is not getattr(earlier, name)
+        assert all(a is not b for a in record.findings for b in earlier.findings)
+    if max_exp == 2:
+        record = records[79]
+        assert record.generators == ((0, 0, 2), (1, 2, 0), (2, 1, 1))
+        assert record.findings and all(f["index"] == 79 for f in record.findings)
+
+
+@pytest.mark.parametrize(
+    "error, status, kinds",
+    [
+        (ResourceLimitError, "resource-limit", []),
+        (EngineInvariantError, "error", ["engine-invariant"]),
+    ],
+    ids=["resource-limit", "engine-invariant"],
+)
+def test_scan_reuses_in_place_failures(monkeypatch, error, status, kinds):
+    params = ScanParameters(3, 4, 1, count=100, seed=1)
+    target = _first_repeat(params)
+    real = asymptotics.betti_table
+    raised = []
+
+    def failing_on_target(I, F):
+        if I.generators == target:
+            raised.append(I)
+            raise error("injected failure")
+        return real(I, F)
+
+    monkeypatch.setattr(asymptotics, "betti_table", failing_on_target)
+    records = list(run_scan(params))
+    assert len(raised) == 1
+    assert _jsonl(records) == _jsonl(scan_record(params, i) for i in range(100))
+    hits = [r for r in records if r.generators == target]
+    assert len(hits) >= 2
+    for record in hits:
+        assert record.profile["status"] == status
+        assert [f["kind"] for f in record.findings] == kinds
+        assert all(f["index"] == record.index for f in record.findings)
+
+
+def _counting_series(monkeypatch) -> list:
+    calls = []
+    real = scan.betti_series
+
+    def counted(I, kmax, F):
+        calls.append(I.generators)
+        return real(I, kmax, F)
+
+    monkeypatch.setattr(scan, "betti_series", counted)
+    return calls
+
+
+def test_scan_computes_each_distinct_ideal_once(monkeypatch):
+    params = ScanParameters(3, 4, 1, count=100, seed=1)
+    calls = _counting_series(monkeypatch)
+    list(run_scan(params))
+    assert len(calls) == len(set(calls)) == 14
+    # Edits to a yielded record do not reach the later repeats of its ideal.
+    target = _first_repeat(params)
+    stream = run_scan(params)
+    for record in stream:
+        if record.generators == target:
+            record.profile.clear()
+            record.verdicts.clear()
+            break
+    rest = list(stream)
+    assert _jsonl(rest) == _jsonl(scan_record(params, r.index) for r in rest)
+
+
+def test_scan_memo_cap_keeps_output(monkeypatch):
+    params = ScanParameters(3, 4, 1, count=100, seed=1)
+    monkeypatch.setattr(scan, "SCAN_MEMO_CAP", 2)
+    calls = _counting_series(monkeypatch)
+    records = list(run_scan(params))
+    kept = list(dict.fromkeys(r.generators for r in records))[:2]
+    assert len(calls) == 2 + sum(r.generators not in kept for r in records)
+    assert _jsonl(records) == _jsonl(scan_record(params, i) for i in range(100))
