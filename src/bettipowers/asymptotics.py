@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence, Union
 
 from .monomial_core import MonomialIdeal, powers
@@ -221,17 +222,25 @@ def closed_form_regular_sequence(n: int, k: int) -> tuple[int, ...]:
 def closed_form_profile(n: int) -> KodiyalamProfile:
     """Exact profile of a length-n regular sequence, from the closed form.
 
-    Each column is a polynomial in k of degree exactly n-1 valid from k = 1,
-    so interpolation through n points recovers it exactly; the
-    multiplicities are the binomial coefficients C(n-1, i-1).
+    Column i >= 1 is C(k+n-1, n-i) * C(k-2+i, i-1): for k >= 1 the product
+    of the linear factors k, k+1, ..., k+n-1 other than k+i-1, divided by
+    (i-1)! (n-i)!, so a polynomial in k of degree exactly n-1 valid from
+    k = 1.  The multiplicities are the binomial coefficients C(n-1, i-1).
     """
     if n < 2:
         raise ValueError("regular-sequence profile needs n >= 2")
-    ks = range(1, n + 1)
-    rows = [closed_form_regular_sequence(n, k) for k in ks]
-    polys = tuple(RationalPolynomial.interpolate(list(zip(ks, col))) for col in zip(*rows))
+    rising = [1]  # k(k+1)...(k+n-1) in integers, lowest degree first
+    for a in range(n):
+        rising = [a * c + b for c, b in zip(rising + [0], [0] + rising)]
+    polys = [RationalPolynomial.constant(1)]
+    for i in range(1, n + 1):
+        quotient = [rising[n]]  # synthetic division by k + i-1, highest degree first
+        for c in rising[n - 1 : 0 : -1]:
+            quotient.append(c - (i - 1) * quotient[-1])
+        scale = math.factorial(i - 1) * math.factorial(n - i)
+        polys.append(RationalPolynomial.from_coefficients([Fraction(c, scale) for c in quotient[::-1]]))
     return KodiyalamProfile(
-        polynomials=polys,
+        polynomials=tuple(polys),
         k0=1,
         apd=n,
         ell=n,

@@ -53,10 +53,7 @@ def betti_polynomial_at(
             "pass allow_unstabilized to evaluate anyway"
         )
     apd = profile.apd
-    coeffs = [Fraction(0)] * (apd + 1)
-    for i in range(apd + 1):
-        coeffs[apd - i] = profile.polynomials[i](k)
-    poly = RationalPolynomial.from_coefficients(coeffs)
+    poly = RationalPolynomial.from_coefficients([p(k) for p in profile.polynomials[apd::-1]])
     if poly.degree != apd or poly.leading_coefficient != 1:
         raise RuntimeError("Betti polynomial is not monic of degree apd")
     return poly
@@ -223,12 +220,12 @@ def _initial_points(
     return np.array(points, dtype=complex), real_slots, pairs
 
 
-def _horner_columns(coeffs: np.ndarray) -> list[np.ndarray]:
-    # Coefficient columns, highest degree first, of the stacked rows p, p',
-    # q, q' with q(w) = w^m p(1/w), for a (K, m+1) batch of polynomials: each
-    # column has shape (4, K, 1).  Each derivative row gets a leading zero so
-    # that all four share one length; the zero step leaves Horner's
-    # accumulator at exactly 0, so every row sees np.polyval's operations.
+def _horner_columns(coeffs: np.ndarray) -> np.ndarray:
+    # Complex coefficient columns (m+1, 4, K, 1), highest degree first, of the
+    # stacked rows p, p', q, q' with q(w) = w^m p(1/w), for a (K, m+1) batch
+    # of polynomials.  Each derivative row gets a leading zero so that all
+    # four share one length; the zero step leaves Horner's accumulator at
+    # exactly 0, so every row sees np.polyval's operations.
     m = coeffs.shape[1] - 1
     weights = np.arange(m, 0, -1)
     rows = np.zeros((4,) + coeffs.shape)
@@ -236,70 +233,68 @@ def _horner_columns(coeffs: np.ndarray) -> list[np.ndarray]:
     rows[1, :, 1:] = coeffs[:, :0:-1] * weights
     rows[2] = coeffs
     rows[3, :, 1:] = coeffs[:, :-1] * weights
-    return [rows[:, :, j : j + 1] for j in range(m + 1)]
+    return rows.transpose(2, 0, 1)[..., None].astype(complex)
 
 
-def _newton_corrections(columns: list[np.ndarray], z: np.ndarray) -> np.ndarray:
-    # p(z)/p'(z) for a (K, m) batch of iterates from one Horner pass over all
-    # four rows, taken through the reversed polynomial at w = 1/z where
-    # |z| > 1 so that nothing overflows.
+def _newton_corrections(columns: np.ndarray, z: np.ndarray, absz: np.ndarray) -> np.ndarray:
+    # p(z)/p'(z) for a (K, m) batch of iterates, absz = |z|, from one Horner
+    # pass over all four rows, taken through the reversed polynomial at
+    # w = 1/z where |z| > 1 so that nothing overflows.
     m = len(columns) - 1
-    w = 1.0 / z
     x = np.empty((4,) + z.shape, dtype=complex)
     x[:2] = z
-    x[2:] = w
+    x[2:] = w = 1.0 / z
     y = np.zeros_like(x)
     for c in columns:
         y *= x
         y += c
     p, dp, q, dq = y
-    return np.where(np.abs(z) > 1.0, z * q / (m * q - w * dq), p / dp)
+    return np.where(absz > 1.0, z * q / (m * q - w * dq), p / dp)
 
 
 def _aberth_sweeps(
     coeffs: np.ndarray,
-    columns: list[np.ndarray],
+    columns: np.ndarray,
     z: np.ndarray,
     real_slots: list[int],
     pairs: list[tuple[int, int]],
 ) -> tuple[np.ndarray, np.ndarray]:
     # Simultaneous iteration on a (K, m) batch: row r holds the iterates of
-    # the polynomial coeffs[r], and every row shares one start layout.  A row
-    # leaves at the sweep where it would have left on its own, and the rows
-    # still running are compacted; nothing mixes rows, so each row's bits
-    # are those of a batch of one.  Returns the final iterates and, per row,
-    # whether they pass the residual gate.
+    # the polynomial coeffs[r], and every row shares one start layout, whose
+    # real slots come first and whose conjugate pairs fill adjacent slots
+    # after them.  A row leaves at the sweep where it would have left on its
+    # own, and the rows still running are compacted; nothing mixes rows, so
+    # each row's bits are those of a batch of one.  Returns the final
+    # iterates and, per row, whether they pass the residual gate.
     out = np.empty_like(z)
     accepted = np.zeros(len(z), dtype=bool)
     running = np.arange(len(z))
-    real_slots = np.array(real_slots, dtype=np.intp)
-    upper = np.array([i for i, _ in pairs], dtype=np.intp)
-    lower = np.array([j for _, j in pairs], dtype=np.intp)
+    n_real, end = len(real_slots), len(real_slots) + 2 * len(pairs)
+    z = z.copy()
+    absz = np.abs(z)
     m = z.shape[1]
     gate_below = max(DEFAULT_STEP_TOL, 1e-8)
     for _ in range(DEFAULT_MAX_ITER):
         with np.errstate(all="ignore"):
-            absz = np.abs(z)
-            newton = _newton_corrections(columns, z)
+            newton = _newton_corrections(columns, z, absz)
             diff = z[:, :, None] - z[:, None, :]
             diff.reshape(len(z), m * m)[:, :: m + 1] = np.inf
-            repulse = (1.0 / diff).sum(axis=2)
+            repulse = np.divide(1.0, diff, out=diff).sum(axis=2)
             step = newton / (1.0 - newton * repulse)
-            bad = ~np.isfinite(step)
-            if bad.any():
+            if not np.isfinite(step).all():
                 fallback = np.where(np.isfinite(newton), newton, 0.0)
-                step = np.where(bad, fallback, step)
+                step = np.where(np.isfinite(step), step, fallback)
             limit = 1.0 + absz
             mag = np.abs(step)
-            with np.errstate(invalid="ignore"):
-                scale = np.where(mag > limit, limit / mag, 1.0)
-            step = step * scale
-        z = z - step
-        z[:, real_slots] = z[:, real_slots].real
-        avg = (z[:, upper] + z[:, lower].conj()) / 2.0
-        z[:, upper] = avg
-        z[:, lower] = avg.conj()
-        max_step = np.max(np.abs(step) / (1.0 + np.abs(z)), axis=1)
+            step *= np.where(mag > limit, limit / mag, 1.0)
+        z -= step
+        z[:, :n_real].imag = 0.0
+        upper, lower = z[:, n_real:end:2], z[:, n_real + 1 : end : 2]
+        upper += lower.conj()
+        upper /= 2.0
+        np.conjugate(upper, out=lower)
+        absz = np.abs(z)
+        max_step = np.max(np.abs(step) / (1.0 + absz), axis=1)
         # Tiny steps alone are not convergence: collided points freeze the
         # iteration through the repulsion term, so acceptance always goes
         # through the residual gate.
@@ -313,17 +308,17 @@ def _aberth_sweeps(
         if done.any():
             out[running[done]] = z[done]
             keep = ~done
-            running, z, coeffs = running[keep], z[keep], coeffs[keep]
+            running, z, absz, coeffs = running[keep], z[keep], absz[keep], coeffs[keep]
             if not len(running):
                 return out, accepted
-            columns = [c[:, keep] for c in columns]
+            columns = columns[:, :, keep]
     for r, row in enumerate(running):
         accepted[row] = (_scaled_residuals(coeffs[r], z[r]) <= DEFAULT_RESIDUAL_TOL).all()
     out[running] = z
     return out, accepted
 
 
-def _newton_polish(coeffs: np.ndarray, columns: list[np.ndarray], z: np.ndarray) -> np.ndarray:
+def _newton_polish(coeffs: np.ndarray, columns: np.ndarray, z: np.ndarray) -> np.ndarray:
     # Per-point Newton after the simultaneous phase, on one polynomial: a
     # batch of one in columns, and its m iterates in z.  Near-coincident
     # partners freeze the collective steps through the repulsion term while
@@ -335,7 +330,7 @@ def _newton_polish(coeffs: np.ndarray, columns: list[np.ndarray], z: np.ndarray)
     cur = z.copy()
     for _ in range(_POLISH_ITERS):
         with np.errstate(all="ignore"):
-            nxt = cur - _newton_corrections(columns, cur[None])[0]
+            nxt = cur - _newton_corrections(columns, cur[None], np.abs(cur[None]))[0]
         moved = np.where(np.isfinite(nxt), nxt, cur)
         res = _scaled_residuals(coeffs, moved)
         improve = res < best_res
@@ -483,13 +478,9 @@ def _sturm_chain(p: RationalPolynomial) -> list[RationalPolynomial]:
 
 
 def _sign_at(q: RationalPolynomial, x) -> int:
-    if x == "-inf":
-        lead = q.leading_coefficient
-        s = 1 if lead > 0 else -1
-        return s if q.degree % 2 == 0 else -s
-    if x == "+inf":
-        lead = q.leading_coefficient
-        return 1 if lead > 0 else -1
+    if x in ("-inf", "+inf"):
+        s = 1 if q.leading_coefficient > 0 else -1
+        return -s if x == "-inf" and q.degree % 2 else s
     v = q(Fraction(x))
     return 0 if v == 0 else (1 if v > 0 else -1)
 

@@ -1,4 +1,6 @@
 """Series computation, stabilization detection, and profile invariants."""
+import math
+import time
 
 import pytest
 
@@ -168,13 +170,37 @@ def test_closed_form_profile_extrapolates():
     profile = closed_form_profile(3)
     assert profile.multiplicities == (1, 2, 1)
     assert (profile.ell, profile.bigK, profile.apd, profile.k0) == (3, 3, 3, 1)
-    # interpolated from k = 1..n, checked at the nodes and well beyond
+    # checked against the binomials at k = 1..n and well beyond
     for n in (3, 20):
         polys = closed_form_profile(n).polynomials
         for k in range(1, 31):
             assert tuple(p(k) for p in polys) == closed_form_regular_sequence(n, k)
     with pytest.raises(ValueError):
         closed_form_profile(1)
+
+
+def _interpolated_columns(n):
+    # The closed form's columns interpolated through k = 1..n in Fractions,
+    # which a polynomial of degree n-1 valid from k = 1 must equal.
+    ks = range(1, n + 1)
+    rows = [closed_form_regular_sequence(n, k) for k in ks]
+    return tuple(RationalPolynomial.interpolate(list(zip(ks, col))) for col in zip(*rows))
+
+
+def test_closed_form_profile_equals_interpolation():
+    for n in range(2, 26):
+        assert closed_form_profile(n).polynomials == _interpolated_columns(n), n
+
+
+def test_closed_form_profile_of_a_long_sequence_is_fast():
+    # A regression alarm, not a benchmark: interpolating the 161 columns in
+    # Fractions took about 35 s.
+    start = time.perf_counter()
+    profile = closed_form_profile(160)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 2.0, f"took {elapsed:.1f}s"
+    assert profile.multiplicities[80] == math.comb(159, 80)
+    assert tuple(p(3) for p in profile.polynomials) == closed_form_regular_sequence(160, 3)
 
 
 def test_engine_agrees_with_closed_form_profile():

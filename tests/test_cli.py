@@ -1,4 +1,5 @@
 """Command-line interface: outputs, exit codes, and determinism."""
+import hashlib
 import json
 import os
 import subprocess
@@ -73,6 +74,38 @@ def test_roots_regular_sequence_stdout(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "k,root_index,re,im,trajectory_id,is_escape"
     assert len(lines) == 1 + 3 * 8
+
+
+# SHA-256 of the roots CSV on stdout, recorded with the interpolated closed
+# form and the sweep that fancy-indexed its projections; any change to the
+# closed form or the sweep must keep these bits.  edges5, maximal3 and
+# purepowers3 share one profile, so one locus.
+LOCUS_DIGESTS = {
+    ("--regular-sequence", "20", "--kmax", "40"):
+        "c4088d178741d0ea36602b35507068b40c6d97b1c5d51c7af03e19a15b19c79e",
+    (_fixture("edges5"), "--kmax", "12"):
+        "b8c2ec5ced9f488d17abf20b9735b2dd6bffc4adf43db5a5d335add14a3f8154",
+    (_fixture("maximal3"), "--kmax", "12"):
+        "b8c2ec5ced9f488d17abf20b9735b2dd6bffc4adf43db5a5d335add14a3f8154",
+    (_fixture("purepowers3"), "--kmax", "12"):
+        "b8c2ec5ced9f488d17abf20b9735b2dd6bffc4adf43db5a5d335add14a3f8154",
+    (_fixture("artinian4"), "--kmax", "12"):
+        "2cb53179ccf753e8a8b6f43f75e3c26f0281c68e713cbe596f2a419d110c4751",
+}
+
+
+@pytest.mark.parametrize("args", list(LOCUS_DIGESTS), ids=lambda a: Path(a[0]).stem.lstrip("-"))
+def test_roots_locus_bytes_are_pinned(capsys, args):
+    code, out, _ = _run(capsys, ["roots", *args])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == LOCUS_DIGESTS[args]
+
+
+def test_roots_match_benchmark_reference_bytes(capsys):
+    reference = Path(__file__).parents[1] / "perfbench" / "reference" / "roots-regseq20.csv"
+    code, out, _ = _run(capsys, ["roots", "--regular-sequence", "20", "--kmax", "20"])
+    assert code == 0
+    assert out.encode() == reference.read_bytes()
 
 
 def test_roots_writes_csv_and_svg(tmp_path, capsys):

@@ -219,6 +219,20 @@ def _assert_sweeps_match_reference(polys, symmetric):
         assert np.array_equal(polished, _newton_polish_reference(c, want))
 
 
+def test_symmetric_start_layout_is_real_slots_then_adjacent_pairs():
+    # The sweep projects the real slots and the conjugate pairs through
+    # strided views, which is only right for this layout.
+    rng = random.Random(20261019)
+    for m in range(3, 31):
+        for radii in ([1.0] * m, [rng.uniform(0.1, 10.0) for _ in range(m)]):
+            z, real_slots, pairs = spectra._initial_points(radii, symmetric=True)
+            n_real = len(real_slots)
+            assert real_slots == list(range(n_real)) and n_real in (2, 3)
+            assert pairs == [(i, i + 1) for i in range(n_real, m, 2)]
+            assert all(z[i].imag == 0.0 for i in real_slots)
+            assert all(z[j] == z[i].conjugate() and z[i].imag > 0 for i, j in pairs)
+
+
 def test_aberth_sweeps_match_reference_on_regular_sequence():
     # One batch of four rows that leave at different sweeps: k=1 is (1+t)^20,
     # whose roots end as a noise ring after all sweeps; k=2 leaves at the
