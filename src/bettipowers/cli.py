@@ -172,17 +172,15 @@ def cmd_oracle_check(args) -> int:
                 f"the Taylor oracle cap {DEFAULT_TAYLOR_CAP}; lower --kmax"
             )
         ideal_powers.append(ideal_k)
-    results: dict[str, list[dict]] = {}
+    results: dict[str, list[dict]] = {str(field): [] for field in fields}
     mismatch = False
-    for field in fields:
-        per_field = []
-        for k, ideal_k in enumerate(ideal_powers, start=1):
-            koszul = list(betti_table(ideal_k, field).totals)
-            taylor = list(taylor_betti(ideal_k, field))
+    for k, ideal_k in enumerate(ideal_powers, start=1):
+        # One Taylor complex per power, ranked over every field.
+        for field, taylor in zip(fields, taylor_betti(ideal_k, fields)):
+            koszul, taylor = list(betti_table(ideal_k, field).totals), list(taylor)
             agree = koszul == taylor
             mismatch = mismatch or not agree
-            per_field.append({"k": k, "koszul": koszul, "taylor": taylor, "agree": agree})
-        results[str(field)] = per_field
+            results[str(field)].append({"k": k, "koszul": koszul, "taylor": taylor, "agree": agree})
     findings = [
         {
             "type": "finding",

@@ -22,7 +22,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -518,14 +518,20 @@ def betti_table(I: MonomialIdeal, F: CoefficientField = RATIONALS) -> BettiTable
     return BettiTable(I, F, entries, tuple(totals))
 
 
-def taylor_betti(I: MonomialIdeal, F: CoefficientField = RATIONALS) -> tuple[int, ...]:
+def taylor_betti(
+    I: MonomialIdeal, F: Union[CoefficientField, Sequence[CoefficientField]] = RATIONALS
+) -> Union[tuple[int, ...], list[tuple[int, ...]]]:
     """Betti totals from the Taylor complex tensored with the field.
 
     Independent oracle for betti_table: the differential entry between a
     generator subset and a facet is +-1 exactly when omitting the generator
     does not change the subset lcm.  Exponential in the generator count, so
-    more than DEFAULT_TAYLOR_CAP generators raise ResourceLimitError.
+    more than DEFAULT_TAYLOR_CAP generators raise ResourceLimitError.  Given
+    a sequence of fields, returns one totals tuple per field: each boundary
+    map is built once and ranked over every field (rank_over does not modify
+    its rows), and only one map is held at a time.
     """
+    fields = [F] if isinstance(F, CoefficientField) else list(F)
     m = len(I.generators)
     if m > DEFAULT_TAYLOR_CAP:
         raise ResourceLimitError(
@@ -548,7 +554,9 @@ def taylor_betti(I: MonomialIdeal, F: CoefficientField = RATIONALS) -> tuple[int
         size: [sum(1 << g for g in c) for c in itertools.combinations(range(m), size)]
         for size in range(m + 1)
     }
-    ranks = {1: 0}  # the differential into T_0 vanishes modulo the maximal ideal
+    # ranks[s][f]: rank over fields[f] of the differential out of T_s.  It
+    # vanishes into T_0 modulo the maximal ideal, and T_(m+1) is zero.
+    ranks = {1: [0] * len(fields), m + 1: [0] * len(fields)}
     for size in range(2, m + 1):
         lower = {s: j for j, s in enumerate(subsets[size - 1])}
         columns = []
@@ -564,14 +572,15 @@ def taylor_betti(I: MonomialIdeal, F: CoefficientField = RATIONALS) -> tuple[int
                     column[lower[s ^ bit]] = sign
                 sign = -sign
             columns.append(column)
-        ranks[size] = rank_over(columns, len(lower), F)
-    betti = [1]
-    for i in range(1, m + 1):
-        betti.append(len(subsets[i]) - ranks.get(i, 0) - ranks.get(i + 1, 0))
-    for i in range(n + 1, m + 1):
-        if betti[i] != 0:
-            raise EngineInvariantError(
-                f"Taylor homology persists above the ambient dimension at index {i}"
-            )
-    betti.extend([0] * (n - len(betti) + 1))
-    return tuple(betti[: n + 1])
+        ranks[size] = [rank_over(columns, len(lower), field) for field in fields]
+    totals = []
+    for f in range(len(fields)):
+        betti = [1] + [len(subsets[i]) - ranks[i][f] - ranks[i + 1][f] for i in range(1, m + 1)]
+        for i in range(n + 1, m + 1):
+            if betti[i] != 0:
+                raise EngineInvariantError(
+                    f"Taylor homology persists above the ambient dimension at index {i}"
+                )
+        betti.extend([0] * (n - len(betti) + 1))
+        totals.append(tuple(betti[: n + 1]))
+    return totals[0] if isinstance(F, CoefficientField) else totals

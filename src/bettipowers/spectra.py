@@ -5,8 +5,8 @@ point step.  The finder is a simultaneous (Aberth-Ehrlich style) iteration
 with initial points on Newton-polygon circles, run under an exact conjugate
 pairing so that root sets of real polynomials stay symmetric; realness and
 root counts over intervals are certified separately by exact Sturm chains.
-A root locus sweeps all its powers of one reduced degree as one batch, with
-the same bits as one power at a time.
+A root locus sweeps, polishes and gates all its powers of one reduced degree
+as one batch, with the same bits as one power at a time.
 """
 from __future__ import annotations
 
@@ -26,6 +26,7 @@ DEFAULT_STEP_TOL = 1e-12
 DEFAULT_RESIDUAL_TOL = 1e-10
 _POLISH_ITERS = 4
 _CLUSTER_TOL = 1e-6
+_BLOCK_BYTES = 1 << 21  # bound on the Horner columns of one sweep block
 
 
 class RootFindingError(RuntimeError):
@@ -118,26 +119,24 @@ def _newton_polygon_radii(coeffs: Sequence[float]) -> list[float]:
 
 
 def _scaled_residuals(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    # Backward-error residual |p(z)| / sum_i |c_i| |z|^i, evaluated through
-    # the reversed polynomial for |z| > 1 so that nothing overflows.
-    high = coeffs[::-1]
-    absz = np.abs(roots)
-    out = np.empty(len(roots))
+    # Backward-error residuals |p(z)| / sum_i |c_i| |z|^i of a (K, n) batch of
+    # points, row r at the polynomial coeffs[r] (lowest degree first).  Where
+    # |z| > 1 the reversed polynomial is evaluated at w = 1/z so that nothing
+    # overflows; each point sees np.polyval's operations.
+    small = np.abs(roots) <= 1.0
     with np.errstate(all="ignore"):
-        small = absz <= 1.0
-        if small.any():
-            z = roots[small]
-            num = np.abs(np.polyval(high, z))
-            den = np.polyval(np.abs(high), np.abs(z))
-            # den is 0 only where every term vanishes (z = 0 on a zero
-            # constant term), and then so does p(z).
-            out[small] = np.divide(num, den, out=np.zeros_like(num), where=den != 0)
-        if (~small).any():
-            w = 1.0 / roots[~small]
-            out[~small] = np.abs(np.polyval(coeffs, w)) / np.polyval(
-                np.abs(coeffs), np.abs(w)
-            )
-    return out
+        x = np.where(small, roots, 1.0 / roots)
+        ax = np.abs(x)
+        table = np.where(small, coeffs.T[::-1, :, None], coeffs.T[:, :, None])
+        num, den = np.zeros_like(x), np.zeros_like(ax)
+        for c, a in zip(table, np.abs(table)):
+            num *= x
+            num += c
+            den *= ax
+            den += a
+        # den is 0 only where every term vanishes (z = 0 on a zero constant
+        # term), and then so does p(z).
+        return np.divide(np.abs(num), den, out=np.zeros_like(den), where=den != 0)
 
 
 def _cluster_consistent(coeffs: np.ndarray, roots: np.ndarray) -> bool:
@@ -221,9 +220,10 @@ def _initial_points(
 
 
 def _horner_columns(coeffs: np.ndarray) -> np.ndarray:
-    # Complex coefficient columns (m+1, 4, K, 1), highest degree first, of the
-    # stacked rows p, p', q, q' with q(w) = w^m p(1/w), for a (K, m+1) batch
-    # of polynomials.  Each derivative row gets a leading zero so that all
+    # Complex coefficient columns (m+1, K, 4, m), highest degree first, of the
+    # rows p, p', q, q' with q(w) = w^m p(1/w) of each of a (K, m+1) batch of
+    # polynomials, broadcast over its m iterates so that each Horner step adds
+    # two contiguous arrays.  Derivative rows get a leading zero so that all
     # four share one length; the zero step leaves Horner's accumulator at
     # exactly 0, so every row sees np.polyval's operations.
     m = coeffs.shape[1] - 1
@@ -233,51 +233,49 @@ def _horner_columns(coeffs: np.ndarray) -> np.ndarray:
     rows[1, :, 1:] = coeffs[:, :0:-1] * weights
     rows[2] = coeffs
     rows[3, :, 1:] = coeffs[:, :-1] * weights
-    return rows.transpose(2, 0, 1)[..., None].astype(complex)
+    return np.repeat(rows.transpose(2, 1, 0)[..., None].astype(complex), m, axis=3)
 
 
-def _newton_corrections(columns: np.ndarray, z: np.ndarray, absz: np.ndarray) -> np.ndarray:
-    # p(z)/p'(z) for a (K, m) batch of iterates, absz = |z|, from one Horner
-    # pass over all four rows, taken through the reversed polynomial at
-    # w = 1/z where |z| > 1 so that nothing overflows.
+def _newton_corrections(columns: np.ndarray, z: np.ndarray, absz: np.ndarray, x, y) -> np.ndarray:
+    # p(z)/p'(z) for a (K, m) batch of iterates, absz = |z|, by Horner on all
+    # four rows in the (K, 4, m) buffers x and y, taken through the reversed
+    # polynomial at w = 1/z where |z| > 1 so that nothing overflows.
     m = len(columns) - 1
-    x = np.empty((4,) + z.shape, dtype=complex)
-    x[:2] = z
-    x[2:] = w = 1.0 / z
-    y = np.zeros_like(x)
+    x[:, :2] = z[:, None]
+    w = np.divide(1.0, z, out=x[:, 2])
+    x[:, 3] = w
+    y[...] = 0.0
     for c in columns:
         y *= x
         y += c
-    p, dp, q, dq = y
+    p, dp, q, dq = y.transpose(1, 0, 2)
     return np.where(absz > 1.0, z * q / (m * q - w * dq), p / dp)
 
 
 def _aberth_sweeps(
-    coeffs: np.ndarray,
-    columns: np.ndarray,
-    z: np.ndarray,
-    real_slots: list[int],
-    pairs: list[tuple[int, int]],
+    coeffs: np.ndarray, z: np.ndarray, real_slots: list[int], pairs: list[tuple[int, int]]
 ) -> tuple[np.ndarray, np.ndarray]:
     # Simultaneous iteration on a (K, m) batch: row r holds the iterates of
     # the polynomial coeffs[r], and every row shares one start layout, whose
     # real slots come first and whose conjugate pairs fill adjacent slots
     # after them.  A row leaves at the sweep where it would have left on its
-    # own, and the rows still running are compacted; nothing mixes rows, so
-    # each row's bits are those of a batch of one.  Returns the final
-    # iterates and, per row, whether they pass the residual gate.
+    # own, and the rows still running are compacted into the leading rows of
+    # the Horner columns and of the buffers, which are allocated once.  No
+    # step mixes rows, so each row's bits are those of a batch of one.
+    # Returns the final iterates and, per row, whether they pass the gate.
+    columns = _horner_columns(coeffs)
     out = np.empty_like(z)
     accepted = np.zeros(len(z), dtype=bool)
     running = np.arange(len(z))
     n_real, end = len(real_slots), len(real_slots) + 2 * len(pairs)
-    z = z.copy()
-    absz = np.abs(z)
-    m = z.shape[1]
+    z, absz, m = z.copy(), np.abs(z), z.shape[1]
+    x, y = np.empty((2, len(z), 4, m), dtype=complex)
+    diff = np.empty(z.shape + (m,), dtype=complex)
     gate_below = max(DEFAULT_STEP_TOL, 1e-8)
     for _ in range(DEFAULT_MAX_ITER):
         with np.errstate(all="ignore"):
-            newton = _newton_corrections(columns, z, absz)
-            diff = z[:, :, None] - z[:, None, :]
+            newton = _newton_corrections(columns, z, absz, x, y)
+            np.subtract(z[:, :, None], z[:, None, :], out=diff)
             diff.reshape(len(z), m * m)[:, :: m + 1] = np.inf
             repulse = np.divide(1.0, diff, out=diff).sum(axis=2)
             step = newton / (1.0 - newton * repulse)
@@ -301,36 +299,39 @@ def _aberth_sweeps(
         if max_step.min() >= gate_below:
             continue
         done = max_step < DEFAULT_STEP_TOL
-        for r in np.flatnonzero(max_step < gate_below):
-            gate = (_scaled_residuals(coeffs[r], z[r]) <= DEFAULT_RESIDUAL_TOL).all()
-            accepted[running[r]] = gate
-            done[r] |= gate
+        near = np.flatnonzero(max_step < gate_below)
+        gate = (_scaled_residuals(coeffs[near], z[near]) <= DEFAULT_RESIDUAL_TOL).all(axis=1)
+        accepted[running[near]] = gate
+        done[near] |= gate
         if done.any():
             out[running[done]] = z[done]
             keep = ~done
             running, z, absz, coeffs = running[keep], z[keep], absz[keep], coeffs[keep]
             if not len(running):
                 return out, accepted
-            columns = columns[:, :, keep]
-    for r, row in enumerate(running):
-        accepted[row] = (_scaled_residuals(coeffs[r], z[r]) <= DEFAULT_RESIDUAL_TOL).all()
+            for c in columns:
+                c[: len(z)] = c[keep]
+            columns = columns[:, : len(z)]
+            x, y, diff = x[: len(z)], y[: len(z)], diff[: len(z)]
+    accepted[running] = (_scaled_residuals(coeffs, z) <= DEFAULT_RESIDUAL_TOL).all(axis=1)
     out[running] = z
     return out, accepted
 
 
-def _newton_polish(coeffs: np.ndarray, columns: np.ndarray, z: np.ndarray) -> np.ndarray:
-    # Per-point Newton after the simultaneous phase, on one polynomial: a
-    # batch of one in columns, and its m iterates in z.  Near-coincident
-    # partners freeze the collective steps through the repulsion term while
-    # clustered roots are still far from evaluation-noise accuracy; plain
-    # Newton closes that gap.  A point only moves when its residual improves,
-    # so the residual gate stays satisfied.
-    best = z.copy()
+def _newton_polish(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
+    # Per-point Newton after the simultaneous phase, on a (K, m) batch of
+    # iterates, row r of the polynomial coeffs[r].  Near-coincident partners
+    # freeze the collective steps through the repulsion term while clustered
+    # roots are still far from evaluation-noise accuracy; plain Newton closes
+    # that gap.  A point only moves when its residual improves, so the
+    # residual gate stays satisfied.
+    best, cur = z.copy(), z
     best_res = _scaled_residuals(coeffs, best)
-    cur = z.copy()
+    columns = _horner_columns(coeffs)
+    x, y = np.empty((2, len(z), 4, z.shape[1]), dtype=complex)
     for _ in range(_POLISH_ITERS):
         with np.errstate(all="ignore"):
-            nxt = cur - _newton_corrections(columns, cur[None], np.abs(cur[None]))[0]
+            nxt = cur - _newton_corrections(columns, cur, np.abs(cur), x, y)
         moved = np.where(np.isfinite(nxt), nxt, cur)
         res = _scaled_residuals(coeffs, moved)
         improve = res < best_res
@@ -397,36 +398,37 @@ def find_roots(p: RationalPolynomial) -> list[complex]:
 
 
 def _find_roots_batch(polys: Sequence[RationalPolynomial]) -> list[list[complex]]:
-    # find_roots for each polynomial in turn.  The symmetric sweeps of all
-    # polynomials of one reduced degree m >= 3 run as one batch; polish,
-    # the cluster check and the asymmetric fallback then run per polynomial
-    # in order, so the first one that fails raises.
+    # find_roots for each polynomial in turn.  The polynomials of one reduced
+    # degree m >= 3 run in blocks whose Horner columns fit _BLOCK_BYTES: one
+    # symmetric sweep per block, then one polish of its accepted rows.  The
+    # cluster check and the asymmetric fallback then run per polynomial in
+    # order, so the first one that fails raises.
     reduced = []
     for p in polys:
         exact = p.coefficients
         if len(exact) < 2:
             raise ValueError("root finding requires degree >= 1")
-        valuation = 0
-        while exact[valuation] == 0:
-            valuation += 1
+        valuation = next(i for i, c in enumerate(exact) if c != 0)
         coeffs = np.array([float(c) for c in exact[valuation:]], dtype=float)
-        coeffs /= coeffs[-1]
-        reduced.append((valuation, coeffs))
+        reduced.append((valuation, coeffs / coeffs[-1]))
     by_degree: dict[int, list[int]] = {}
     for i, (_, coeffs) in enumerate(reduced):
         if len(coeffs) > 3:
             by_degree.setdefault(len(coeffs) - 1, []).append(i)
     swept = {}
-    for rows in by_degree.values():
-        coeffs = np.array([reduced[i][1] for i in rows])
-        radii = [_newton_polygon_radii(c) for c in coeffs]
-        starts = [_initial_points(r, symmetric=True) for r in radii]
-        # The real slots and conjugate pairs depend only on m.
-        _, real_slots, pairs = starts[0]
-        z0 = np.array([z for z, _, _ in starts])
-        columns = _horner_columns(coeffs)
-        z, ok = _aberth_sweeps(coeffs, columns, z0, real_slots, pairs)
-        swept.update(zip(rows, zip(radii, z, ok)))
+    for m, rows in by_degree.items():
+        size = max(1, _BLOCK_BYTES // (64 * m * (m + 1)))
+        for block in (rows[i : i + size] for i in range(0, len(rows), size)):
+            coeffs = np.array([reduced[i][1] for i in block])
+            radii = [_newton_polygon_radii(c) for c in coeffs]
+            starts = [_initial_points(r, symmetric=True) for r in radii]
+            # The real slots and conjugate pairs depend only on m.
+            _, real_slots, pairs = starts[0]
+            z0 = np.array([z for z, _, _ in starts])
+            z, ok = _aberth_sweeps(coeffs, z0, real_slots, pairs)
+            if ok.any():
+                z[ok] = _newton_polish(coeffs[ok], z[ok])
+            swept.update(zip(block, zip(radii, z, ok)))
     return [
         _finish_roots(valuation, coeffs, swept.get(i))
         for i, (valuation, coeffs) in enumerate(reduced)
@@ -434,8 +436,8 @@ def _find_roots_batch(polys: Sequence[RationalPolynomial]) -> list[list[complex]
 
 
 def _finish_roots(valuation: int, coeffs: np.ndarray, swept: Optional[tuple]) -> list[complex]:
-    # Degrees 1 and 2 by closed form; otherwise polish the swept roots, or
-    # sweep again from an asymmetric start when they fail the checks.
+    # Degrees 1 and 2 by closed form; otherwise keep the polished sweep, or
+    # sweep again from an asymmetric start when it fails the checks.
     m = len(coeffs) - 1
     rest = []
     if m == 1:
@@ -444,14 +446,11 @@ def _finish_roots(valuation: int, coeffs: np.ndarray, swept: Optional[tuple]) ->
         rest = _quadratic_roots(coeffs[0], coeffs[1], coeffs[2])
     elif m > 2:
         radii, z, ok = swept
-        columns = _horner_columns(coeffs[None])
-        if ok:
-            z = _newton_polish(coeffs, columns, z)
         if not ok or not _cluster_consistent(coeffs, z):
             z0, _, _ = _initial_points(radii, symmetric=False)
-            z, _ = _aberth_sweeps(coeffs[None], columns, z0[None], [], [])
-            z = np.array(_pair_output(_newton_polish(coeffs, columns, z[0])), dtype=complex)
-            residuals = _scaled_residuals(coeffs, z)
+            z, _ = _aberth_sweeps(coeffs[None], z0[None], [], [])
+            z = np.array(_pair_output(_newton_polish(coeffs[None], z)[0]), dtype=complex)
+            residuals = _scaled_residuals(coeffs[None], z[None])[0]
             if not (residuals <= DEFAULT_RESIDUAL_TOL).all() or not _cluster_consistent(coeffs, z):
                 raise RootFindingError(
                     f"no convergence after {DEFAULT_MAX_ITER} iterations "
@@ -606,14 +605,14 @@ def root_locus(profile: KodiyalamProfile, krange: Iterable[int]) -> RootLocus:
     roots: dict[int, tuple[complex, ...]] = {}
     residuals: dict[int, tuple[float, ...]] = {}
     escape: dict[int, Optional[int]] = {}
-    prev: Optional[list[complex]] = None
     polys = [betti_polynomial_at(profile, k, allow_unstabilized=True) for k in ks]
-    found_by_k = _find_roots_batch(polys)
-    for k, poly, found in zip(ks, polys, found_by_k):
-        ordered = found if prev is None else _match_order(prev, found)
-        prev = ordered
-        coeffs = np.array([float(c) for c in poly.coefficients])
-        res = _scaled_residuals(coeffs / coeffs[-1], np.array(ordered, dtype=complex))
+    ordered_by_k = []
+    for found in _find_roots_batch(polys):
+        ordered_by_k.append(found if not ordered_by_k else _match_order(ordered_by_k[-1], found))
+    # Every polynomial is monic of degree apd, so one pass takes all residuals.
+    coeffs = np.array([[float(c) for c in poly.coefficients] for poly in polys])
+    res_by_k = _scaled_residuals(coeffs, np.array(ordered_by_k, dtype=complex))
+    for k, ordered, res in zip(ks, ordered_by_k, res_by_k):
         roots[k] = tuple(ordered)
         residuals[k] = tuple(float(r) for r in res)
         esc = None

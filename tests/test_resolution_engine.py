@@ -681,6 +681,15 @@ def test_taylor_matches_koszul_on_random_ideals_and_powers():
     assert checked > 100
 
 
+def test_taylor_over_several_fields_equals_one_call_per_field():
+    # One build of the boundary maps, ranked over each field in turn.
+    fields = (RATIONALS, GF2, CoefficientField(3))
+    ideals = [fixture_ideal("rp2")] + list(_random_ideals(random.Random(20097), 4, 3, 8))
+    for ideal in ideals:
+        assert taylor_betti(ideal, fields) == [taylor_betti(ideal, f) for f in fields]
+    assert taylor_betti(ideals[0], fields)[0] != taylor_betti(ideals[0], fields)[1]
+
+
 def test_taylor_runs_at_its_generator_cap():
     # mixed6^2 has 16 generators, the default cap, so Taylor boundary maps
     # reach 12,870 x 11,440; elimination on sparse rows keeps them tractable.

@@ -112,6 +112,51 @@ def test_find_roots_error_carries_best_iterate(monkeypatch):
     assert len(err.value.residuals) == 3
 
 
+def _scaled_residuals_reference(coeffs, roots):
+    # The residual of one polynomial by np.polyval, through the reversed
+    # polynomial at 1/z where |z| > 1; spectra._scaled_residuals must give the
+    # same bits on every row of a batch.
+    high = coeffs[::-1]
+    absz = np.abs(roots)
+    out = np.empty(len(roots))
+    with np.errstate(all="ignore"):
+        small = absz <= 1.0
+        if small.any():
+            z = roots[small]
+            num = np.abs(np.polyval(high, z))
+            den = np.polyval(np.abs(high), np.abs(z))
+            out[small] = np.divide(num, den, out=np.zeros_like(num), where=den != 0)
+        if (~small).any():
+            w = 1.0 / roots[~small]
+            out[~small] = np.abs(np.polyval(coeffs, w)) / np.polyval(
+                np.abs(coeffs), np.abs(w)
+            )
+    return out
+
+
+def test_scaled_residuals_match_polyval_reference_bit_for_bit():
+    # Rows of one batch with points inside, outside and on |z| = 1, an exact
+    # zero root on a zero constant term (where the scale vanishes too), and
+    # non-finite points.
+    rng = np.random.default_rng(20261019)
+    coeffs = rng.normal(size=(5, 7))
+    coeffs[:, -1] = 1.0
+    coeffs[1, 0] = 0.0
+    roots = rng.normal(size=(5, 6)) * 2.0 + 1j * rng.normal(size=(5, 6))
+    roots[0, :3] = (1.0, -1.0, 1j)
+    roots[0, 3] = -1j
+    roots[1, :2] = (0.0, np.inf)
+    roots[2, 0] = complex(np.inf, 0.0)
+    roots[2, 1] = complex(np.nan, 1.0)
+    roots[3, 2] = complex(0.0, np.inf)
+    small = np.abs(roots) <= 1.0
+    assert small.any() and (~small).any() and (np.abs(roots) == 1.0).sum() >= 4
+    got = spectra._scaled_residuals(coeffs, roots)
+    want = np.array([_scaled_residuals_reference(c, z) for c, z in zip(coeffs, roots)])
+    assert got[1, 0] == 0.0 and got[1, 1] == 1.0 and np.isnan(got[2, 1])
+    assert got.tobytes() == want.tobytes()
+
+
 def _aberth_reference(coeffs, z, real_slots, pairs, max_iter, step_tol, residual_tol):
     # The sweep evaluated by four np.polyval calls (p, p', and the reversed
     # polynomial and its derivative at 1/z), with the symmetry projections
@@ -155,10 +200,10 @@ def _aberth_reference(coeffs, z, real_slots, pairs, max_iter, step_tol, residual
             z[j] = avg.conjugate()
         max_step = float(np.max(np.abs(step) / (1.0 + np.abs(z))))
         if max_step < step_tol:
-            return z, bool((spectra._scaled_residuals(coeffs, z) <= residual_tol).all())
-        if max_step < 1e-8 and (spectra._scaled_residuals(coeffs, z) <= residual_tol).all():
+            return z, bool((_scaled_residuals_reference(coeffs, z) <= residual_tol).all())
+        if max_step < 1e-8 and (_scaled_residuals_reference(coeffs, z) <= residual_tol).all():
             return z, True
-    return z, bool((spectra._scaled_residuals(coeffs, z) <= residual_tol).all())
+    return z, bool((_scaled_residuals_reference(coeffs, z) <= residual_tol).all())
 
 
 def _newton_polish_reference(coeffs, z, iters=4):
@@ -169,7 +214,7 @@ def _newton_polish_reference(coeffs, z, iters=4):
     low = coeffs
     dlow = (low[:-1] * np.arange(m, 0, -1)).astype(float)
     best = z.copy()
-    best_res = spectra._scaled_residuals(coeffs, best)
+    best_res = _scaled_residuals_reference(coeffs, best)
     cur = z.copy()
     for _ in range(iters):
         with np.errstate(all="ignore"):
@@ -182,7 +227,7 @@ def _newton_polish_reference(coeffs, z, iters=4):
                 newton[big] = cur[big] * q / (m * q - w * dq)
             nxt = cur - newton
         moved = np.where(np.isfinite(nxt), nxt, cur)
-        res = spectra._scaled_residuals(coeffs, moved)
+        res = _scaled_residuals_reference(coeffs, moved)
         improve = res < best_res
         best[improve] = moved[improve]
         best_res[improve] = res[improve]
@@ -193,7 +238,7 @@ def _newton_polish_reference(coeffs, z, iters=4):
 def _assert_sweeps_match_reference(polys, symmetric):
     # One batch over same-degree polynomials: every row, and each polynomial
     # run alone as a batch of one, must equal the reference run of that
-    # polynomial bit for bit, and so must the polish after it.
+    # polynomial bit for bit, and so must one polish of all accepted rows.
     coeffs = np.array([[float(c) for c in exact] for exact in polys])
     coeffs /= coeffs[:, -1:]
     starts = [
@@ -203,20 +248,41 @@ def _assert_sweeps_match_reference(polys, symmetric):
     _, real_slots, pairs = starts[0]
     z0 = np.array([z for z, _, _ in starts])
     tolerances = (DEFAULT_MAX_ITER, DEFAULT_STEP_TOL, DEFAULT_RESIDUAL_TOL)
-    batch, batch_ok = spectra._aberth_sweeps(
-        coeffs, spectra._horner_columns(coeffs), z0, real_slots, pairs
-    )
+    batch, batch_ok = spectra._aberth_sweeps(coeffs, z0, real_slots, pairs)
+    polished = spectra._newton_polish(coeffs[batch_ok], batch[batch_ok])
+    accepted = iter(polished)
     for row, c in enumerate(coeffs):
-        columns = spectra._horner_columns(c[None])
         want, want_ok = _aberth_reference(c, z0[row], real_slots, pairs, *tolerances)
         alone, alone_ok = spectra._aberth_sweeps(
-            c[None], columns, z0[row : row + 1], real_slots, pairs
+            c[None], z0[row : row + 1], real_slots, pairs
         )
         for got, got_ok in ((batch[row], batch_ok[row]), (alone[0], alone_ok[0])):
             assert got_ok == want_ok
             assert np.array_equal(got, want)
-        polished = spectra._newton_polish(c, columns, batch[row])
-        assert np.array_equal(polished, _newton_polish_reference(c, want))
+        if want_ok:
+            assert np.array_equal(next(accepted), _newton_polish_reference(c, want))
+
+
+def test_find_roots_fallback_matches_reference(monkeypatch):
+    # Each of these fails the symmetric sweep's checks, so find_roots sweeps
+    # again from the asymmetric start, polishes that batch of one and pairs
+    # the result; the reference runs the same steps by np.polyval.
+    sweeps = []
+    original = spectra._aberth_sweeps
+    monkeypatch.setattr(
+        spectra, "_aberth_sweeps", lambda *args: sweeps.append(1) or original(*args)
+    )
+    tolerances = (DEFAULT_MAX_ITER, DEFAULT_STEP_TOL, DEFAULT_RESIDUAL_TOL)
+    for exact in ([-9, 7, -8, -2, -5, -6, -7, 4], [-6, 2, 5, 4], [3, 5, 5, -3, 8, -1, 7]):
+        sweeps.clear()
+        got = find_roots(_poly(*exact))
+        assert len(sweeps) == 2
+        c = np.array(exact, dtype=float) / exact[-1]
+        z0, _, _ = spectra._initial_points(spectra._newton_polygon_radii(c), symmetric=False)
+        z, _ = _aberth_reference(c, z0, [], [], *tolerances)
+        paired = spectra._pair_output(_newton_polish_reference(c, z))
+        want = [complex(v.real + 0.0, v.imag + 0.0) for v in paired]
+        assert got == sorted(want, key=lambda v: (v.real, v.imag))
 
 
 def test_symmetric_start_layout_is_real_slots_then_adjacent_pairs():
@@ -317,6 +383,23 @@ def test_mixed_degree_profile_groups():
 def test_root_locus_batch_equals_one_k_at_a_time(profile):
     ks = range(1, 13)
     assert root_locus(profile, ks).to_csv() == _locus_csv_one_k_at_a_time(profile, ks)
+
+
+def test_root_locus_blocks_keep_the_bits(monkeypatch):
+    # Rows are independent, so blocks of any size give the same locus: a
+    # budget of a few rows' Horner columns splits each locus into 3 blocks.
+    cases = ((6, range(1, 9), 3), (20, range(1, 6), 2))
+    wholes = [root_locus(closed_form_profile(n), ks).to_csv() for n, ks, _ in cases]
+    sweeps = []
+    original = spectra._aberth_sweeps
+    monkeypatch.setattr(
+        spectra, "_aberth_sweeps", lambda *args: sweeps.append(1) or original(*args)
+    )
+    for (n, ks, rows_per_block), whole in zip(cases, wholes):
+        monkeypatch.setattr(spectra, "_BLOCK_BYTES", rows_per_block * 64 * n * (n + 1))
+        sweeps.clear()
+        assert root_locus(closed_form_profile(n), ks).to_csv() == whole
+        assert len(sweeps) == 3
 
 
 def test_root_locus_raises_for_the_first_failing_k(monkeypatch):

@@ -89,8 +89,8 @@ def test_betti_table_calls_its_traced_layers(monkeypatch):
 
 
 def test_root_locus_calls_its_traced_layers(monkeypatch):
-    # One batch sweep over the whole locus, then one polish per k (this
-    # profile needs no fallback).
+    # One batch sweep over the whole locus, then one polish of all its
+    # accepted rows (this profile needs no fallback).
     calls = {"_aberth_sweeps": 0, "_newton_polish": 0}
     for attr in calls:
         original = getattr(spectra, attr)
@@ -102,7 +102,7 @@ def test_root_locus_calls_its_traced_layers(monkeypatch):
         monkeypatch.setattr(spectra, attr, counting)
     locus = spectra.root_locus(closed_form_profile(6), range(1, 9))
     assert locus.degree == 6
-    assert calls == {"_aberth_sweeps": 1, "_newton_polish": 8}
+    assert calls == {"_aberth_sweeps": 1, "_newton_polish": 1}
 
 
 @pytest.mark.parametrize(
