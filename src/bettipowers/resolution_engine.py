@@ -4,8 +4,8 @@ Two independent routes are provided.  The main engine evaluates reduced
 simplicial homology of upper Koszul complexes at the points of the lcm
 lattice; the oracle computes ranks in the Taylor complex tensored with the
 field.  Both pass their boundary maps, one sparse row per cell, to a single
-exact rank kernel (integer rows kept primitive over Q, reduced mod p over
-F_p) and share the vertex order and boundary sign convention.
+exact rank kernel (rows kept primitive over Q, mod p over odd F_p, as bits
+over F_2) and share the vertex order and boundary sign convention.
 
 The engine codes lattice points as mixed-radix keys over the generators'
 distinct values on each axis.  When that key space has at most
@@ -18,7 +18,6 @@ point (the mask route).  The two routes give the same tables.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -100,14 +99,22 @@ def rank_over(
 ) -> int:
     """Exact rank over F of the integer matrix with these sparse rows {column: entry}.
 
-    Each row is reduced on its lowest column against the pivot row kept for
-    that column, r <- a*r - b*top, until it vanishes or its lowest column is
-    new.  Over F_p entries are kept mod p; over Q each reduced row is divided
-    by the gcd of its entries, so the integers stay small and exact.  The rows
-    are not modified.  The elimination does not need ncols, the column count;
-    perfbench/tracer.py reads len(rows) * ncols as the dense matrix size.
+    Each row is reduced against the pivot row kept for its leading column
+    until it vanishes or that column is new.  Over F_2 a row is an int with a
+    bit per odd entry, led by its highest bit and reduced by XOR; otherwise it
+    is led by its lowest column, r <- a*r - b*top, mod p over F_p, and over Q
+    divided by the gcd of its entries to stay small.  The rows are not
+    modified; ncols serves perfbench/tracer.py, which reads len(rows) * ncols.
     """
     p = F.characteristic
+    if p == 2:
+        bits: dict[int, int] = {}
+        for r in (sum(1 << c for c, x in row.items() if x & 1) for row in rows):
+            while r.bit_length() in bits:
+                r ^= bits[r.bit_length()]
+            if r:
+                bits[r.bit_length()] = r
+        return len(bits)
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
         if p:
@@ -185,13 +192,11 @@ def _homology_dims_cached(
         lower = {f: i for i, f in enumerate(faces_by_dim[j - 1])}
         columns = []
         for f in upper:
-            column = {}
-            sign = 1
-            for v in range(n):
-                bit = 1 << v
-                if f & bit:
-                    column[lower[f ^ bit]] = sign
-                    sign = -sign
+            column, sign, rest = {}, 1, f
+            while rest:  # the vertices of f, in ascending order
+                bit = rest & -rest
+                column[lower[f ^ bit]] = sign
+                sign, rest = -sign, rest ^ bit
             columns.append(column)
         rank[j + 1] = rank_over(columns, len(lower), F)
     counts = [1] + [len(fs) for fs in faces_by_dim]
@@ -518,6 +523,30 @@ def betti_table(I: MonomialIdeal, F: CoefficientField = RATIONALS) -> BettiTable
     return BettiTable(I, F, entries, tuple(totals))
 
 
+def _taylor_maps(gens: Sequence[ExponentVector], sizes: Iterable[int]) -> Iterator[tuple]:
+    # (s, d_s) for these s >= 2.  Row S (a bit mask; masks ascend in each size)
+    # has (-1)^(members of S below b) at column S - b where S - b keeps lcm(S).
+    # Exponents are ranked per axis, 0 included: codes fit in uint8, the 2^m
+    # lcms take m doubling steps, and lcm(S - b) <= lcm(S) are equal iff their sums are.
+    m = len(gens)
+    codes = np.array([[sorted({0, *c}).index(e) for e in c] for c in zip(*gens)], np.uint8).T
+    lcm = np.zeros((1 << m, codes.shape[1]), dtype=np.uint8)
+    for b in range(m):
+        np.maximum(lcm[: 1 << b], codes[b], out=lcm[1 << b: 2 << b])
+    weight = lcm.sum(axis=1, dtype=np.int64)
+    size = np.bitwise_count(np.arange(1 << m))
+    subsets = [np.flatnonzero(size == s) for s in range(m + 1)]
+    bits = 1 << np.arange(m)
+    for s in sizes:
+        S = subsets[s][:, None]
+        faces = S ^ bits
+        at, b = ((S & bits != 0) & (weight[faces] == weight[S])).nonzero()
+        columns = np.searchsorted(subsets[s - 1], faces[at, b]).tolist()
+        signs = np.where(np.bitwise_count(S[at, 0] & (bits[b] - 1)) & 1, -1, 1).tolist()
+        ends = np.searchsorted(at, np.arange(len(S) + 1)).tolist()
+        yield s, [dict(zip(columns[i:j], signs[i:j])) for i, j in zip(ends, ends[1:])]
+
+
 def taylor_betti(
     I: MonomialIdeal, F: Union[CoefficientField, Sequence[CoefficientField]] = RATIONALS
 ) -> Union[tuple[int, ...], list[tuple[int, ...]]]:
@@ -527,60 +556,31 @@ def taylor_betti(
     generator subset and a facet is +-1 exactly when omitting the generator
     does not change the subset lcm.  Exponential in the generator count, so
     more than DEFAULT_TAYLOR_CAP generators raise ResourceLimitError.  Given
-    a sequence of fields, returns one totals tuple per field: each boundary
-    map is built once and ranked over every field (rank_over does not modify
-    its rows), and only one map is held at a time.
+    a sequence of fields, returns one totals tuple per field; each map is
+    built once for all prime fields.  An integer rank only drops mod 2, so
+    next to a zero mod-2 Betti number the F_2 ranks (XOR on bit rows) hold
+    over Q, and Q builds again and ranks only the other maps.
     """
     fields = [F] if isinstance(F, CoefficientField) else list(F)
-    m = len(I.generators)
+    gens, m, n = I.generators, len(I.generators), I.nvars
     if m > DEFAULT_TAYLOR_CAP:
         raise ResourceLimitError(
             f"{m} generators exceed the Taylor oracle cap of {DEFAULT_TAYLOR_CAP}"
         )
-    n = I.nvars
-    gens = I.generators
-
-    @lru_cache(maxsize=None)
-    def lcm_of(mask: int) -> ExponentVector:
-        if mask == 0:
-            return (0,) * n
-        low = mask & (-mask)
-        rest = lcm_of(mask ^ low)
-        g = gens[low.bit_length() - 1]
-        return tuple(map(max, g, rest))
-
-    # Subsets of generators as bit masks, in the order of itertools.combinations.
-    subsets = {
-        size: [sum(1 << g for g in c) for c in itertools.combinations(range(m), size)]
-        for size in range(m + 1)
-    }
-    # ranks[s][f]: rank over fields[f] of the differential out of T_s.  It
-    # vanishes into T_0 modulo the maximal ideal, and T_(m+1) is zero.
-    ranks = {1: [0] * len(fields), m + 1: [0] * len(fields)}
-    for size in range(2, m + 1):
-        lower = {s: j for j, s in enumerate(subsets[size - 1])}
-        columns = []
-        for s in subsets[size]:
-            full = lcm_of(s)
-            column = {}
-            sign = 1
-            rest = s
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                if lcm_of(s ^ bit) == full:
-                    column[lower[s ^ bit]] = sign
-                sign = -sign
-            columns.append(column)
-        ranks[size] = [rank_over(columns, len(lower), field) for field in fields]
-    totals = []
-    for f in range(len(fields)):
-        betti = [1] + [len(subsets[i]) - ranks[i][f] - ranks[i + 1][f] for i in range(1, m + 1)]
-        for i in range(n + 1, m + 1):
-            if betti[i] != 0:
-                raise EngineInvariantError(
-                    f"Taylor homology persists above the ambient dimension at index {i}"
-                )
-        betti.extend([0] * (n - len(betti) + 1))
-        totals.append(tuple(betti[: n + 1]))
+    dims = [math.comb(m, s) for s in range(m + 1)]  # dim T_s
+    over = {f.characteristic: f for f in fields + [GF2] * (RATIONALS in fields) if f.characteristic}
+    ranks = {p: [0] * (m + 2) for p in over}  # [p][s]: rank of d_s; d_1 = 0 mod the max ideal
+    for s, rows in _taylor_maps(gens, range(2, m + 1)):
+        for p, field in over.items():
+            ranks[p][s] = rank_over(rows, dims[s - 1], field)
+        del rows  # before the next map is built
+    if RATIONALS in fields:
+        r2 = ranks[2]
+        free = [s for s in range(2, m + 1) if all(dims[t] - r2[t] - r2[t + 1] for t in (s - 1, s))]
+        q = {s: rank_over(rows, dims[s - 1], RATIONALS) for s, rows in _taylor_maps(gens, free)}
+        ranks[0] = [q.get(s, r) for s, r in enumerate(r2)]
+    betti = {p: [dims[s] - r[s] - r[s + 1] for s in range(m + 1)] for p, r in ranks.items()}
+    if any(any(b[n + 1:]) for b in betti.values()):
+        raise EngineInvariantError(f"Taylor homology above the ambient dimension: {betti}")
+    totals = [tuple((betti[f.characteristic] + [0] * n)[: n + 1]) for f in fields]
     return totals[0] if isinstance(F, CoefficientField) else totals

@@ -108,6 +108,20 @@ def test_roots_match_benchmark_reference_bytes(capsys):
     assert out.encode() == reference.read_bytes()
 
 
+def test_oracle_check_matches_benchmark_reference_bytes(capsys):
+    reference = Path(__file__).parents[1] / "perfbench" / "reference" / "oracle-rp2.json"
+    code, out, _ = _run(capsys, ["oracle-check", _fixture("rp2"), "--fields", "q,2"])
+    assert code == 0
+    assert out.encode() == reference.read_bytes()
+
+
+def test_profile_matches_benchmark_reference_bytes(capsys):
+    reference = Path(__file__).parents[1] / "perfbench" / "reference" / "profile-mixed6.json"
+    code, out, _ = _run(capsys, ["profile", _fixture("mixed6"), "--kmax", "8"])
+    assert code == 0
+    assert out.encode() == reference.read_bytes()
+
+
 def test_roots_writes_csv_and_svg(tmp_path, capsys):
     csv_path = tmp_path / "locus.csv"
     svg_path = tmp_path / "locus.svg"

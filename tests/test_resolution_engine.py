@@ -30,6 +30,7 @@ from _dense_rank import rank_integer, rank_mod_p
 from _fixtures import FIXTURE_DIR, fixture_ideal
 from _kpolynomial import euler_characteristics, k_polynomial
 from _lattice_reference import lcm_lattice_reference
+from _taylor_reference import taylor_betti_reference
 
 
 def test_field_parse():
@@ -98,6 +99,31 @@ def test_rank_over_matches_dense_references(p):
         expected = rank_integer(dense, ncols) if p == 0 else rank_mod_p(dense, ncols, p)
         assert rank_over(rows, ncols, field) == expected, (p, dense)
         assert rows == snapshot  # the input rows are left as they were
+
+
+def test_rank_over_gf2_bit_rows_past_one_machine_word():
+    # Over F_2 a row is one Python int, so only rows wider than 64 columns
+    # reach multi-word XORs.  Rows are integer combinations of a few sparse
+    # basis rows, so most of them reduce to 0 mod 2 after several steps.
+    rng = random.Random(20261019)
+    for _ in range(25):
+        ncols = rng.randint(65, 200)
+        basis = [
+            [rng.randint(-3, 5) if rng.random() < 0.08 else 0 for _ in range(ncols)]
+            for _ in range(rng.randint(1, 25))
+        ]
+        basis.append([0] * (ncols - 1) + [1])  # a lone entry in the top column
+        dense = [
+            [sum(c * row[j] for c, row in zip(coefficients, basis)) for j in range(ncols)]
+            for coefficients in (
+                [rng.choice((0, 0, 1, -1, 2, 3)) for _ in basis]
+                for _ in range(rng.randint(1, 40))
+            )
+        ]
+        rows = _sparse(dense)
+        snapshot = [dict(r) for r in rows]
+        assert rank_over(rows, ncols, GF2) == rank_mod_p(dense, ncols, 2), dense
+        assert rows == snapshot
 
 
 def _homology(n, facets, field=RATIONALS):
@@ -667,8 +693,9 @@ def test_taylor_matches_on_powers():
 
 def test_taylor_matches_koszul_on_random_ideals_and_powers():
     # A differential check over Q, F_2 and F_3.  Powers are kept up to 12
-    # generators: a 15- or 16-generator Taylor complex takes 2-6 s per field,
-    # and the cap itself is exercised by the next test.
+    # generators: the 15- and 16-generator powers of this draw take at most
+    # 0.4 s each over Q and F_2, but 0.8-5.4 s over F_3, which keeps the dict
+    # elimination.  The cap itself is exercised by test_taylor_runs_at_its_generator_cap.
     fields = (RATIONALS, GF2, CoefficientField(3))
     checked = 0
     for ideal in _random_ideals(random.Random(20096), 40, 3, 10):
@@ -679,6 +706,26 @@ def test_taylor_matches_koszul_on_random_ideals_and_powers():
                 assert taylor_betti(ideal_k, field) == betti_table(ideal_k, field).totals
             checked += 1
     assert checked > 100
+
+
+def test_taylor_matches_per_map_reference():
+    # Q ranks certified from F_2 ranks, alone and beside other fields, against
+    # the loop that ranks every map over the one field asked for.  On rp2 the
+    # Q and F_2 totals differ, so a certificate taken for granted would show.
+    fields = [RATIONALS, GF2, CoefficientField(3)]
+    wide = MonomialIdeal.from_generators(  # exponents past int64
+        ["x", "y", "z"], [(2**70, 0, 1), (1, 2**65, 0), (0, 3, 2**64), (5, 5, 5)]
+    )
+    ideals = [fixture_ideal("rp2"), wide]
+    for ideal in _random_ideals(random.Random(20098), 30, 3, 6):
+        ideals += [k for k in powers(ideal, 3) if len(k.generators) <= 10]
+    assert len(ideals) > 50
+    for ideal in ideals:
+        expected = [taylor_betti_reference(ideal, field) for field in fields]
+        assert taylor_betti(ideal, RATIONALS) == expected[0], ideal
+        assert taylor_betti(ideal, fields) == expected, ideal
+    assert taylor_betti_reference(ideals[0], RATIONALS) == (1, 10, 15, 6, 0, 0, 0)
+    assert taylor_betti_reference(ideals[0], GF2) == (1, 10, 15, 7, 1, 0, 0)
 
 
 def test_taylor_over_several_fields_equals_one_call_per_field():
@@ -692,10 +739,18 @@ def test_taylor_over_several_fields_equals_one_call_per_field():
 
 def test_taylor_runs_at_its_generator_cap():
     # mixed6^2 has 16 generators, the default cap, so Taylor boundary maps
-    # reach 12,870 x 11,440; elimination on sparse rows keeps them tractable.
+    # reach 12,870 x 11,440.  A regression alarm, not a benchmark: on a 2-CPU
+    # sandbox this [Q, F_2] call took 0.35-0.55 s with XOR ranks over F_2 and
+    # Q ranks certified from them, and 2.6-2.7 s when every map was ranked
+    # over each field by dict elimination.
     ideal = power(fixture_ideal("mixed6"), 2)
     assert len(ideal.generators) == resolution_engine.DEFAULT_TAYLOR_CAP
-    assert taylor_betti(ideal, GF2) == betti_table(ideal, GF2).totals
+    fields = [RATIONALS, GF2]
+    start = time.perf_counter()
+    totals = taylor_betti(ideal, fields)
+    elapsed = time.perf_counter() - start
+    assert totals == [betti_table(ideal, field).totals for field in fields]
+    assert elapsed < 2.0, f"took {elapsed:.2f}s"
 
 
 def test_taylor_generator_cap(monkeypatch):

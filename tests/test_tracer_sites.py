@@ -115,15 +115,26 @@ def test_root_locus_calls_its_traced_layers(monkeypatch):
 def test_taylor_betti_calls_rank_over_on_full_boundary_maps(monkeypatch, field, totals):
     # The benchmark's rank.cells adds len(rows) * ncols over rank_over calls:
     # the dense size of each Taylor boundary map, one row per generator subset.
-    cells = []
+    # Every map is ranked over F_2, also when only Q is asked for: its F_2
+    # ranks certify the Q ranks next to a zero mod-2 Betti number.  On rp2
+    # the mod-2 Betti numbers are 1, 10, 15, 7, 1, 0, ..., so only d_2, d_3
+    # and d_4 have nonzero ones on both sides and are ranked over Q.
+    calls = []
     original = resolution_engine.rank_over
 
     def counting(rows, ncols, F):
-        cells.append(len(rows) * ncols)
+        calls.append((len(rows) * ncols, F))
         return original(rows, ncols, F)
 
     monkeypatch.setattr(resolution_engine, "rank_over", counting)
     assert resolution_engine.taylor_betti(fixture_ideal("rp2"), field) == totals
-    assert len(cells) == 9
-    assert sum(cells) == sum(math.comb(10, s) * math.comb(10, s - 1) for s in range(2, 11))
-    assert sum(cells) == 167950
+    gf2 = [cells for cells, F in calls if F == resolution_engine.GF2]
+    assert len(gf2) == 9
+    assert sum(gf2) == sum(math.comb(10, s) * math.comb(10, s - 1) for s in range(2, 11))
+    assert sum(gf2) == 167950
+    rational = [cells for cells, F in calls if F == resolution_engine.RATIONALS]
+    if field == resolution_engine.GF2:
+        assert rational == []
+    else:
+        assert rational == [math.comb(10, s) * math.comb(10, s - 1) for s in (2, 3, 4)]
+        assert sum(rational) == 31050
