@@ -16,7 +16,13 @@ from typing import Sequence, Union
 from .monomial_core import MonomialIdeal, powers
 from .monomial_core import power  # unused here, but perfbench/tracer.py wraps it here
 from .polynomials import RationalPolynomial
-from .resolution_engine import RATIONALS, BettiTable, CoefficientField, betti_table
+from .resolution_engine import (
+    RATIONALS,
+    BettiTable,
+    CoefficientField,
+    betti_table,
+    betti_totals,
+)
 
 DEFAULT_GUARD = 3
 
@@ -90,22 +96,26 @@ class KodiyalamProfile:
 def betti_series(
     I: MonomialIdeal, kmax: int, F: CoefficientField = RATIONALS
 ) -> BettiSeries:
-    """Betti totals of S/I^k for k = 1..kmax (exact, row per power)."""
+    """Betti totals of S/I^k for k = 1..kmax (exact, row per power).
+
+    The full table is built for k = 1 only; later powers give their totals.
+    """
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
     rows = []
     for k, ideal_k in enumerate(powers(I, kmax), start=1):
         try:
-            table = betti_table(ideal_k, F)
+            if k == 1:
+                first = betti_table(ideal_k, F)
+                rows.append(first.totals)
+            else:
+                rows.append(betti_totals(ideal_k, F))
         except Exception as exc:
             # Name the power only in an exception whose one argument is its
             # message; structured arguments (an errno, a key) stay intact.
             if exc.args == (str(exc),):
                 exc.args = (f"power k={k}: {exc}",)
             raise
-        if k == 1:
-            first = table
-        rows.append(table.totals)
     return BettiSeries(I, F, kmax, tuple(rows), first)
 
 

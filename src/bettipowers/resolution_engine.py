@@ -8,13 +8,15 @@ exact rank kernel (rows kept primitive over Q, mod p over odd F_p, as bits
 over F_2) and share the vertex order and boundary sign convention.
 
 The engine codes lattice points as mixed-radix keys over the generators'
-distinct values on each axis.  When that key space has at most
-DEFAULT_LATTICE_CAP keys (it is dense), one table over the key grid holds
-both the lattice and the generators' up-closure; otherwise the closure joins
-points into sorted runs and enforces the cap.  In at most 6 variables and a
-dense key space, each point's complex is read as a 2^n-bit face code from
-that table (the table route); otherwise from the generators that divide the
-point (the mask route).  The two routes give the same tables.
+distinct values on each axis.  When that key space has at most GRID_CAP
+keys (it is dense), one table over the key grid holds both the lattice and
+the generators' up-closure; otherwise the closure joins points into sorted
+runs.  Both enforce DEFAULT_LATTICE_CAP on the points.  In at most 6
+variables and a dense key space, each point's complex is read as a 2^n-bit
+face code from that table (the table route); otherwise from the generators
+that divide the point (the mask route).  The two routes give the same
+tables, and betti_totals gives the table route's totals without decoding a
+point.
 """
 from __future__ import annotations
 
@@ -27,13 +29,16 @@ import numpy as np
 
 from .monomial_core import ExponentVector, MonomialIdeal
 
-# Size caps, read at call time.
+# Size caps, read at call time: lattice points, grid-table cells (the key
+# space of a dense lattice), and Taylor generators.
 DEFAULT_LATTICE_CAP = 1 << 20
+GRID_CAP = 1 << 24
 DEFAULT_TAYLOR_CAP = 16
 # Batch size in elements.  A lattice-closure batch and a face-assembly batch
 # take _CHUNK_CELLS // generators points, whose temporaries are points x
-# generators; a face-code batch takes _CHUNK_CELLS >> n points, whose
-# temporaries are points x 2^n subsets; a grid-table batch is _CHUNK_CELLS cells.
+# generators; a face-code batch takes _CHUNK_CELLS // n points, whose
+# temporaries are points x n axes, and gathers 2^n cells for at most
+# _CHUNK_CELLS >> n points at a time; a grid-table batch is _CHUNK_CELLS cells.
 _CHUNK_CELLS = 1 << 15
 
 
@@ -209,8 +214,8 @@ class _KeySpace:
     Every coordinate of a join is some generator's value there, so a point is
     coded by the ranks of its coordinates among those values, packed into one
     key whose order is lexicographic order.  The space is dense when its size,
-    the radix product, is at most DEFAULT_LATTICE_CAP: keys are then int32 and
-    the lattice is read from one table indexed by key.  Beyond the cap keys
+    the radix product, is at most GRID_CAP: keys are then int32 and the
+    lattice is read from one table indexed by key.  Beyond that bound keys
     are int64 while the radix product is below 2^63, and exact Python ints (an
     object array) past it.  Raises ResourceLimitError when an exponent does
     not fit in int64.
@@ -223,7 +228,7 @@ class _KeySpace:
         self.values = [sorted(set(column)) for column in zip(*gens)]
         self.radices = [len(v) for v in self.values]
         self.size = math.prod(self.radices)
-        self.dense = self.size <= DEFAULT_LATTICE_CAP
+        self.dense = self.size <= GRID_CAP
         key = np.int32 if self.dense else np.int64 if self.size < 1 << 63 else object
         self.weights = np.array(
             [math.prod(self.radices[j + 1:]) for j in range(len(self.radices))], dtype=key
@@ -251,19 +256,37 @@ def _grid_table(space: _KeySpace) -> tuple[np.ndarray, np.ndarray]:
     generator g <= a has g_j = a_j.  Cell a of the table has that bit for each
     axis of radix >= 2, and a top bit (the up-closure U) when some generator
     divides a, so the keys are the cells with every bit set; the last cell
-    stays 0.  A dense space has at most 20 such axes, so cells fit in uint32.
+    stays 0.  A dense space has at most log2(GRID_CAP) = 24 such axes: uint32 cells.
+    Like _join_closure, raises ResourceLimitError when the joins beyond the
+    generators take the lattice past DEFAULT_LATTICE_CAP points.
     """
     swept = [(w, r) for w, r in zip(space.weights.tolist(), space.radices) if r > 1]
     full = (2 << len(swept)) - 1
     table = np.zeros(space.size + 1, dtype=np.min_scalar_type(full))
     table[space.generator_keys] = full
+    item = table.itemsize
+    carry = np.empty(space.size * item // 2, dtype=np.uint8)  # reused by every axis
     for bit, (w, r) in enumerate(swept):
-        # A running OR up the axis carries every bit but the axis's own.
-        axis = table[:-1].reshape(-1, r, w)
+        # A running OR up the axis carries every bit but the axis's own.  Runs
+        # of w cells are read as words of up to 8 bytes, the mask in each cell,
+        # so that short runs (2^24 cells on 24 axes of radix 2) stay fast.
+        run = w * item
+        unit = min(8, run & -run)
+        words = table[:-1].view(f"u{unit}")
+        spread = sum(1 << 8 * item * k for k in range(unit // item))  # 1 in each cell
+        mask = words.dtype.type((full ^ 1 << bit) * spread)
+        axis = words.reshape(-1, r, run // unit)
+        below = carry[: len(words) // r * unit].view(words.dtype).reshape(-1, run // unit)
         for i in range(1, r):
-            axis[:, i] |= axis[:, i - 1] & (full ^ 1 << bit)
-    keys = [np.flatnonzero(table[at:at + _CHUNK_CELLS] == full).astype(np.int32) + at
-            for at in range(0, space.size, _CHUNK_CELLS)]
+            np.bitwise_and(axis[:, i - 1], mask, out=below)
+            axis[:, i] |= below
+    keys, count = [], 0
+    most = max(DEFAULT_LATTICE_CAP, len(space.generator_keys))
+    for at in range(0, space.size, _CHUNK_CELLS):
+        keys.append(np.flatnonzero(table[at:at + _CHUNK_CELLS] == full).astype(np.int32) + at)
+        count += len(keys[-1])
+        if count > most:
+            raise ResourceLimitError(f"lcm lattice exceeds cap of {DEFAULT_LATTICE_CAP} elements")
     return np.concatenate(keys), table
 
 
@@ -373,6 +396,7 @@ def _subset_tables(n: int) -> tuple[np.ndarray, ...]:
     # of 2^n bits in the narrowest unsigned dtype that holds them:
     #   members[j, F]: 1 when j lies in F;
     #   within[s, F]: F lies in s;
+    #   inside[s]: the code with a bit at each F within s (row s of within);
     #   without[j]: the code with a bit at each F that omits j;
     #   shifts[j]: 2^j, the shift that moves bit F + j onto bit F.
     code = np.dtype(f"<u{max(1, (1 << n) // 8)}")
@@ -380,9 +404,10 @@ def _subset_tables(n: int) -> tuple[np.ndarray, ...]:
     axes = np.arange(n)[:, None]
     members = subsets >> axes & 1
     within = (subsets & ~subsets[:, None]) == 0
+    inside = np.packbits(within, axis=1, bitorder="little").view(code).ravel()
     without = np.packbits(members == 0, axis=1, bitorder="little").view(code)
     shifts = (1 << axes).astype(code)
-    return members, within, without, shifts
+    return members, within, inside, without, shifts
 
 
 def _face_codes(space: _KeySpace, keys: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -391,45 +416,59 @@ def _face_codes(space: _KeySpace, keys: np.ndarray, table: np.ndarray) -> np.nda
     # lies in the ideal exactly when some generator g has g_j < a_j for j in F
     # and g_j <= a_j elsewhere.  In ranks that reads: rank_j >= 1 for j in F,
     # and key - sum_{j in F} w_j lies in U, the generators' up-closure: the
-    # top bit of the grid table, read by one 2-D gather per chunk of keys.
+    # top bit of the grid table.  U is an up-set, so when the support s (the
+    # j with rank_j >= 1) is a face, so is every F within s: the complex is
+    # the full simplex on s, whose code is inside[s] (Miller-Sturmfels Thm.
+    # 1.34), read from one cell.  Only the other points gather all 2^n cells;
+    # a face off the support reads the table's last cell, 0.
     n = len(space.radices)
     top = 1 << sum(r > 1 for r in space.radices)
-    members, within, without, shifts = _subset_tables(n)
+    members, within, inside, _, _ = _subset_tables(n)
     offsets = (space.weights @ members).astype(np.int32)  # sum of w_j over F
     radices = np.array(space.radices, dtype=np.int32)
-    step = max(1, _CHUNK_CELLS >> n)
-    packed = []
+    codes = np.empty(len(keys), dtype=inside.dtype)
+    step, wide = max(1, _CHUNK_CELLS // n), max(1, _CHUNK_CELLS >> n)
     for at in range(0, len(keys), step):
-        chunk = keys[at:at + step, None]
-        # support: bit j is set when rank_j >= 1, in one byte.  A face off
-        # the support reads the table's last cell, 0.
-        positive = chunk // space.weights % radices != 0
+        chunk = keys[at:at + step]
+        positive = chunk[:, None] // space.weights % radices != 0
         support = np.packbits(positive, axis=1, bitorder="little")[:, 0]
-        cells = np.where(within[support], chunk - offsets, space.size)
-        packed.append(np.packbits(table[cells] >= top, axis=1, bitorder="little"))
-    return np.concatenate(packed).view(without.dtype).ravel()
+        codes[at:at + step] = inside[support]
+        rest = np.flatnonzero(table[chunk - offsets[support]] < top)
+        for lo in range(0, len(rest), wide):
+            part = rest[lo:lo + wide]
+            cells = np.where(within[support[part]], chunk[part, None] - offsets, space.size)
+            faces = np.packbits(table[cells] >= top, axis=1, bitorder="little")
+            codes[at + part] = faces.view(codes.dtype).ravel()
+    return codes
 
 
 def _table_cells(
-    space: _KeySpace, characteristic: int
-) -> Iterator[tuple[list[ExponentVector], tuple[int, ...]]]:
-    # The table route: (exponent rows, homology dims) once per distinct face
-    # code with nonzero homology.  Cones are contractible and stay in numpy;
-    # each other distinct code reaches _maximal_masks and the homology once,
-    # and only the points of codes with nonzero homology are decoded.
+    space: _KeySpace, characteristic: int, decode: bool
+) -> Iterator[tuple[int, tuple[int, ...], list[ExponentVector]]]:
+    # The table route: (points, homology dims, their exponent rows if decode)
+    # once per distinct face code with nonzero homology.  The codes are grouped
+    # by one sort, keyed by a stable argsort only when rows are decoded.  Cones
+    # are contractible and stay in numpy; each other distinct code reaches
+    # _maximal_masks and the homology once.
     n = len(space.radices)
     keys, table = _grid_table(space)
     codes = _face_codes(space, keys, table)
-    distinct = np.sort(codes)
-    distinct = distinct[np.concatenate(([True], distinct[1:] != distinct[:-1]))]
+    if decode:
+        order = np.argsort(codes, kind="stable")
+        codes, keys = codes[order], keys[order]
+    else:
+        codes.sort()
+    starts = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))
+    ends = np.append(starts[1:], len(codes))
+    distinct = codes[starts]
     # A complex is a cone over j when F + j is a face for every face F
     # without j, and F is a maximal face when no F + j is a face.
-    _, _, without, shifts = _subset_tables(n)
+    _, _, _, without, shifts = _subset_tables(n)
     above = (distinct >> shifts) & without  # bit F of row j: F + j is a face
     cone = (distinct & without & ~above == 0).any(axis=0)
     tops = distinct & ~np.bitwise_or.reduce(above, axis=0)
     homologous = []
-    for c, top, apex in zip(distinct.tolist(), tops.tolist(), cone.tolist()):
+    for lo, hi, top, apex in zip(starts.tolist(), ends.tolist(), tops.tolist(), cone.tolist()):
         if apex:
             continue
         faces = []
@@ -437,28 +476,27 @@ def _table_cells(
             low = top & -top
             faces.append(low.bit_length() - 1)
             top ^= low
-        maximal = _maximal_masks(faces)
-        dims = _homology_dims_cached(n, maximal, characteristic)
+        dims = _homology_dims_cached(n, _maximal_masks(faces), characteristic)
         if any(dims):
-            homologous.append(((codes == c).nonzero()[0], dims))
-    # Each generator's complex is the empty face alone: homologous is not empty.
-    rows = space.decode(keys[np.concatenate([at for at, _ in homologous])]).tolist()
+            homologous.append((lo, hi, dims))
+    rows = []
+    if decode:  # each generator's complex is the empty face alone: homologous is not empty
+        rows = space.decode(np.concatenate([keys[lo:hi] for lo, hi, _ in homologous])).tolist()
     start = 0
-    for at, dims in homologous:
-        yield list(map(tuple, rows[start:start + len(at)])), dims
-        start += len(at)
+    for lo, hi, dims in homologous:
+        yield hi - lo, dims, list(map(tuple, rows[start:start + hi - lo]))
+        start += hi - lo
 
 
 def _mask_cells(
     I: MonomialIdeal, characteristic: int
-) -> Iterator[tuple[list[ExponentVector], tuple[int, ...]]]:
+) -> Iterator[tuple[int, tuple[int, ...], list[ExponentVector]]]:
     # The mask route: one point of the lcm lattice at a time.
     lattice = lcm_lattice(I)
     G = np.array(I.generators, dtype=np.int64)
     for p, maximal in _upper_koszul_faces(G, lattice):
-        yield [tuple(lattice[p].tolist())], _homology_dims_cached(
-            I.nvars, maximal, characteristic
-        )
+        dims = _homology_dims_cached(I.nvars, maximal, characteristic)
+        yield 1, dims, [tuple(lattice[p].tolist())]
 
 
 @dataclass(frozen=True)
@@ -481,6 +519,39 @@ class BettiTable:
         return "\n".join(lines) + "\n"
 
 
+def _assemble(
+    I: MonomialIdeal, F: CoefficientField, entries: dict | None
+) -> tuple[int, ...]:
+    # The Betti totals of S/I, checked, and each point's nonzero beta_{i,a}
+    # in entries if given (else the table route decodes no point).
+    n = I.nvars
+    if n > 63:
+        raise ResourceLimitError(f"{n} variables exceed the engine's limit of 63")
+    space = _KeySpace(I.generators)
+    if n <= 6 and space.dense:
+        cells = _table_cells(space, F.characteristic, entries is not None)
+    else:
+        cells = _mask_cells(I, F.characteristic)
+    totals = [1] + [0] * n
+    for count, dims, points in cells:
+        for i, d in enumerate(dims, start=1):  # homological index: j + 2 for H~_j
+            if d:
+                if i > n:
+                    at = points[0] if points else "a lattice point"
+                    raise EngineInvariantError(f"homology above the ambient dimension at {at}")
+                totals[i] += d * count
+                if entries is not None:
+                    for a in points:
+                        entries[(i, a)] = d
+    if totals[1] != len(I.generators):
+        raise EngineInvariantError(
+            f"beta_1 = {totals[1]} disagrees with {len(I.generators)} minimal generators"
+        )
+    if sum((-1) ** i * b for i, b in enumerate(totals)) != 0:
+        raise EngineInvariantError("Euler alternating sum of Betti totals is nonzero")
+    return tuple(totals)
+
+
 def betti_table(I: MonomialIdeal, F: CoefficientField = RATIONALS) -> BettiTable:
     """Betti table of S/I assembled from upper Koszul homology on the lcm lattice.
 
@@ -491,36 +562,18 @@ def betti_table(I: MonomialIdeal, F: CoefficientField = RATIONALS) -> BettiTable
     consistency (beta_1 = generator count, Euler alternating sum zero) is
     asserted on the result.
     """
-    n = I.nvars
-    if n > 63:
-        raise ResourceLimitError(f"{n} variables exceed the engine's limit of 63")
-    char = F.characteristic
-    space = _KeySpace(I.generators)
-    if n <= 6 and space.dense:
-        cells = _table_cells(space, char)
-    else:
-        cells = _mask_cells(I, char)
-    entries: dict[tuple[int, ExponentVector], int] = {(0, (0,) * n): 1}
-    totals = [0] * (n + 1)
-    totals[0] = 1
-    for points, dims in cells:
-        for idx, d in enumerate(dims):
-            if d:
-                i = idx + 1  # homological index: j + 2 with j = idx - 1
-                if i > n:
-                    raise EngineInvariantError(
-                        f"homology above the ambient dimension at {points[0]}"
-                    )
-                totals[i] += d * len(points)
-                for a in points:
-                    entries[(i, a)] = d
-    if totals[1] != len(I.generators):
-        raise EngineInvariantError(
-            f"beta_1 = {totals[1]} disagrees with {len(I.generators)} minimal generators"
-        )
-    if sum((-1) ** i * b for i, b in enumerate(totals)) != 0:
-        raise EngineInvariantError("Euler alternating sum of Betti totals is nonzero")
-    return BettiTable(I, F, entries, tuple(totals))
+    entries: dict[tuple[int, ExponentVector], int] = {(0, (0,) * I.nvars): 1}
+    totals = _assemble(I, F, entries)
+    return BettiTable(I, F, entries, totals)
+
+
+def betti_totals(I: MonomialIdeal, F: CoefficientField = RATIONALS) -> tuple[int, ...]:
+    """betti_table(I, F).totals, with the same checks, without the multidegrees.
+
+    On the table route each distinct face code adds its homology dims times
+    its number of points, and no point is decoded.
+    """
+    return _assemble(I, F, None)
 
 
 def _taylor_maps(gens: Sequence[ExponentVector], sizes: Iterable[int]) -> Iterator[tuple]:

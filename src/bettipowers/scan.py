@@ -142,7 +142,11 @@ def _record_ideal(params: ScanParameters, index: int) -> MonomialIdeal:
 
 def scan_record(params: ScanParameters, index: int) -> ScanRecord:
     """Compute one fully deterministic record for (params.seed, index)."""
-    ideal = _record_ideal(params, index)
+    return _scan_record(params, index, _record_ideal(params, index))
+
+
+def _scan_record(params: ScanParameters, index: int, ideal: MonomialIdeal) -> ScanRecord:
+    # The record of index, whose ideal _record_ideal has drawn.
     kmax = params.kmax if params.kmax is not None else default_kmax(ideal)
     record = ScanRecord(
         index=index,
@@ -203,14 +207,14 @@ def run_scan(params: ScanParameters) -> Iterator[ScanRecord]:
     # record cannot change the records of later repeats.
     memo: dict[tuple[tuple[int, ...], ...], ScanRecord] = {}
     for index in range(params.count):
-        generators = _record_ideal(params, index).generators
-        first = memo.get(generators)
+        ideal = _record_ideal(params, index)
+        first = memo.get(ideal.generators)
         if first is not None:
             yield _reindexed(first, index)
             continue
-        record = scan_record(params, index)
+        record = _scan_record(params, index, ideal)
         if len(memo) < SCAN_MEMO_CAP:
-            memo[generators] = _reindexed(record, index)
+            memo[ideal.generators] = _reindexed(record, index)
         yield record
 
 

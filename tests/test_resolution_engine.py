@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from bettipowers import resolution_engine
+from bettipowers.asymptotics import betti_series
 from bettipowers.monomial_core import MonomialIdeal, parse_ideal, power, powers
 from bettipowers.resolution_engine import (
     GF2,
@@ -21,12 +22,14 @@ from bettipowers.resolution_engine import (
     _maximal_masks,
     _upper_koszul_faces,
     betti_table,
+    betti_totals,
     lcm_lattice,
     rank_over,
     taylor_betti,
 )
 
 from _dense_rank import rank_integer, rank_mod_p
+from _face_code_reference import face_codes_reference
 from _fixtures import FIXTURE_DIR, fixture_ideal
 from _kpolynomial import euler_characteristics, k_polynomial
 from _lattice_reference import lcm_lattice_reference
@@ -179,10 +182,14 @@ def _rows(lattice):
     return list(map(tuple, lattice.tolist()))
 
 
-def _capped_lattice(ideal, cap):
-    # lcm_lattice under a lattice cap of cap points.
+def _capped_lattice(ideal, cap, closure=False):
+    # lcm_lattice under a lattice cap of cap points; with closure, under a
+    # grid bound of cap cells too, so that a key space larger than the
+    # lattice is closed by sorted runs instead of the grid table.
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(resolution_engine, "DEFAULT_LATTICE_CAP", cap)
+        if closure:
+            mp.setattr(resolution_engine, "GRID_CAP", cap)
         return lcm_lattice(ideal)
 
 
@@ -202,7 +209,7 @@ def _lattice_or_error(lattice, ideal, cap):
 
 
 def _dense(ideal):
-    # Whether the key space is dense under the current lattice cap, so the
+    # Whether the key space is dense under the current grid bound, so the
     # lattice comes from the grid table rather than from sorted runs.
     return resolution_engine._KeySpace(ideal.generators).dense
 
@@ -211,17 +218,19 @@ def _assert_lattice_matches_reference(ideal):
     expected = lcm_lattice_reference(ideal)
     assert _rows(lcm_lattice(ideal)) == expected
     # The cap admits a lattice of exactly as many points, and rejects a
-    # larger one as soon as a join is added beyond it.  With two or more
-    # generators the radix product exceeds the lattice size, so such a cap
-    # runs the sorted-runs closure where the default cap may read the grid
-    # table.
+    # larger one once joins beyond the generators pass it, on the grid table
+    # and on the sorted-runs closure.  With two or more generators the radix
+    # product exceeds the lattice size, so a grid bound at the cap runs the
+    # closure where the default bound may read the grid table.
     radices = [len(set(column)) for column in zip(*ideal.generators)]
     assert (math.prod(radices) > len(expected)) == (len(ideal.generators) > 1)
-    assert _rows(_capped_lattice(ideal, len(expected))) == expected
     cap = len(expected) - 1
-    assert _lattice_or_error(_capped_lattice, ideal, cap) == _lattice_or_error(
-        lcm_lattice_reference, ideal, cap
-    )
+    for closure in (False, True):
+        capped = functools.partial(_capped_lattice, closure=closure)
+        assert _rows(capped(ideal, len(expected))) == expected
+        assert _lattice_or_error(capped, ideal, cap) == _lattice_or_error(
+            lcm_lattice_reference, ideal, cap
+        )
 
 
 def test_lcm_lattice_matches_reference_on_fixtures():
@@ -252,8 +261,8 @@ def test_lcm_lattice_matches_reference_on_random_ideals():
 
 def test_grid_table_matches_runs_closure_and_reference():
     # In 1 to 6 variables every key space here is dense under the default
-    # cap, so the default reads the lattice from the grid table and a cap of
-    # the lattice size runs the sorted-runs closure.
+    # grid bound, so the default reads the lattice from the grid table and a
+    # grid bound of the lattice size runs the sorted-runs closure.
     for ideal in _random_ideals(random.Random(20121), 150, 4, 7, max_vars=6):
         assert _dense(ideal)
         _assert_lattice_matches_reference(ideal)
@@ -291,7 +300,7 @@ def test_grid_table_on_radix_one_axes_and_wide_cells():
                 _, table = resolution_engine._grid_table(space)
                 assert table.dtype == np.uint8 and table.tolist() == [1, 0]
     # n axes of radix 2 need n + 1 bits: uint8 up to 7 axes, uint16 up to 15,
-    # and uint32 up to 20, where the radix product 2^20 is DEFAULT_LATTICE_CAP.
+    # and uint32 beyond, up to the 24 axes whose radix product is GRID_CAP.
     for n, dtype in ((7, np.uint8), (8, np.uint16), (15, np.uint16), (16, np.uint32),
                      (20, np.uint32)):
         ideal = _squarefree(n, 5)
@@ -382,7 +391,9 @@ def test_lcm_lattice_keys_near_the_int64_limit():
 
 
 def test_lcm_lattice_cap_far_below_the_lattice(monkeypatch):
-    # The maximal ideal in 24 variables has 2^24 - 1 lattice points.
+    # The maximal ideal in 24 variables has 2^24 - 1 lattice points.  Its
+    # 2^24 keys are within GRID_CAP, so the whole grid table is built (about
+    # 0.6 s on a 2-CPU host) before the cap stops the search for its keys.
     n = 24
     ideal = MonomialIdeal.from_generators(
         [f"x{i}" for i in range(n)], [tuple(int(i == j) for j in range(n)) for i in range(n)]
@@ -499,11 +510,13 @@ def _is_cone(maximal):
 
 @contextlib.contextmanager
 def _mask_route(ideal):
-    # A lattice cap at the lattice size and below the radix product: the
-    # key space is not dense, so betti_table takes the mask route.
+    # A lattice cap and a grid bound at the lattice size, below the radix
+    # product: the key space is not dense, so betti_table takes the mask
+    # route and closes the lattice by joins.
     size = len(lcm_lattice(ideal))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(resolution_engine, "DEFAULT_LATTICE_CAP", size)
+        mp.setattr(resolution_engine, "GRID_CAP", size)
         assert not _dense(ideal)
         yield
 
@@ -528,16 +541,27 @@ def test_only_points_that_reach_homology_become_python_sets(monkeypatch):
     assert _dense(ideal)
     betti_table(ideal)
     assert 0 < calls["_maximal_masks"] == len(distinct) <= calls["_homology_dims_cached"]
+    # betti_totals classifies the same complexes as betti_table, as often.
+    table_calls = dict(calls)
+    calls.update(dict.fromkeys(calls, 0))
+    betti_totals(ideal)
+    assert calls == table_calls
     calls.update(dict.fromkeys(calls, 0))
     with _mask_route(ideal):
         betti_table(ideal)
-    assert 0 < calls["_maximal_masks"] == calls["_homology_dims_cached"]
-    assert calls["_homology_dims_cached"] < len(lattice)
+        assert 0 < calls["_maximal_masks"] == calls["_homology_dims_cached"]
+        assert calls["_homology_dims_cached"] < len(lattice)
+        mask_calls = dict(calls)
+        calls.update(dict.fromkeys(calls, 0))
+        betti_totals(ideal)
+    assert calls == mask_calls
 
 
 def _assert_routes_agree(ideal, field):
+    # Both routes give the same table, and betti_totals gives its totals.
     table = betti_table(ideal, field)
     assert ideal.nvars <= 6 and _dense(ideal)
+    assert betti_totals(ideal, field) == table.totals
     if len(ideal.generators) == 1:
         # One point, so no cap separates the routes: S/(x^g) has beta_1 = 1.
         g = ideal.generators[0]
@@ -545,8 +569,44 @@ def _assert_routes_agree(ideal, field):
         return
     with _mask_route(ideal):
         mask = betti_table(ideal, field)
+        assert betti_totals(ideal, field) == mask.totals
     assert table.entries == mask.entries
     assert table.totals == mask.totals
+
+
+def _assert_face_codes_match_reference(ideal):
+    # The codes equal the every-subset reference bit for bit.  Returns how
+    # many points read one cell (their support is a face, so their code is
+    # inside[support]) and how many points there are.
+    space = resolution_engine._KeySpace(ideal.generators)
+    keys, table = resolution_engine._grid_table(space)
+    codes = resolution_engine._face_codes(space, keys, table)
+    expected = face_codes_reference(space, keys, table)
+    assert codes.dtype == expected.dtype and np.array_equal(codes, expected)
+    positive = keys[:, None] // space.weights % np.array(space.radices) != 0
+    support = np.packbits(positive, axis=1, bitorder="little")[:, 0]
+    inside = resolution_engine._subset_tables(ideal.nvars)[2]
+    return int((codes == inside[support]).sum()), len(keys)
+
+
+def test_face_codes_match_the_every_subset_reference(monkeypatch):
+    for path in sorted(FIXTURE_DIR.glob("*.ideal")):
+        for ideal_k in powers(fixture_ideal(path.stem), 3):
+            _assert_face_codes_match_reference(ideal_k)
+    # Most points of these powers read one cell instead of 2^n.
+    mixed6, art4 = fixture_ideal("mixed6"), fixture_ideal("artinian4")
+    assert _assert_face_codes_match_reference(power(mixed6, 8)) == (14445, 15266)
+    assert _assert_face_codes_match_reference(power(art4, 8)) == (261255, 268819)
+    # Batches of a few points split both reads.  The draws include principal
+    # ideals (one point, support 0) and axes of radix 1.
+    monkeypatch.setattr(resolution_engine, "_CHUNK_CELLS", 1 << 7)
+    principal = radix_one = 0
+    for ideal in _random_ideals(random.Random(20191), 150, 3, 6, max_vars=6):
+        for ideal_k in powers(ideal, 2):
+            _assert_face_codes_match_reference(ideal_k)
+        principal += len(ideal.generators) == 1
+        radix_one += any(len(set(column)) == 1 for column in zip(*ideal.generators))
+    assert principal and radix_one
 
 
 def test_table_route_matches_mask_route_on_fixtures():
@@ -577,6 +637,48 @@ def test_dense_betti_table_time_alarm():
     elapsed = time.perf_counter() - start
     assert totals == (1, 804, 2792, 3134, 1145)
     assert elapsed < 1.0, f"took {elapsed:.2f}s"
+
+
+def test_grid_bound_time_alarms():
+    # Regression alarms, not benchmarks.  art4^11 has 1,221,858 keys, past
+    # the lattice cap, which was also the grid bound: the join closure took
+    # 60-76 s, and gave these totals.  Under GRID_CAP the grid table takes
+    # about 0.2 s on a 2-CPU host.  art4^12 (1,726,272 keys) has more than
+    # DEFAULT_LATTICE_CAP points: the grid table finds that in about 0.02 s,
+    # where the closure raised after 23.7 s.
+    art4 = fixture_ideal("artinian4")
+    ideal = power(art4, 11)
+    start = time.perf_counter()
+    totals = betti_table(ideal).totals
+    elapsed = time.perf_counter() - start
+    assert totals == (1, 2046, 7223, 8222, 3044)
+    assert elapsed < 2.0, f"took {elapsed:.2f}s"
+    ideal = power(art4, 12)
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="lcm lattice exceeds cap of 1048576 elements"):
+        betti_table(ideal)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0, f"took {elapsed:.2f}s"
+
+
+def test_rp2_series_time_and_memory_alarms():
+    # Regression alarms, not benchmarks.  betti_series(rp2, 9) takes about
+    # 0.9 s on a 2-CPU host (1.5 s when each power decoded its table).  Its
+    # traced allocations peak near 27.5 MiB, most of it the generators of
+    # the powers; decoding every table took the peak to 56 MiB.
+    ideal = fixture_ideal("rp2")
+    start = time.perf_counter()
+    series = betti_series(ideal, 9)
+    elapsed = time.perf_counter() - start
+    assert series.rows[-1] == (1, 17962, 79425, 141390, 126744, 57240, 10422)
+    assert elapsed < 4.0, f"took {elapsed:.2f}s"
+    tracemalloc.start()
+    try:
+        betti_series(ideal, 9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_dense_power_time_alarm():

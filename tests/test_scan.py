@@ -266,6 +266,22 @@ def test_scan_computes_each_distinct_ideal_once(monkeypatch):
     assert _jsonl(rest) == _jsonl(scan_record(params, r.index) for r in rest)
 
 
+def test_scan_draws_each_ideal_once(monkeypatch):
+    # run_scan hands each drawn ideal to the record it computes, so a
+    # first-seen ideal is not drawn a second time.
+    params = ScanParameters(3, 4, 1, count=100, seed=1)
+    draws = []
+    real = scan._record_ideal
+
+    def counted(params, index):
+        draws.append(index)
+        return real(params, index)
+
+    monkeypatch.setattr(scan, "_record_ideal", counted)
+    list(run_scan(params))
+    assert draws == list(range(100))
+
+
 def test_scan_memo_cap_keeps_output(monkeypatch):
     params = ScanParameters(3, 4, 1, count=100, seed=1)
     monkeypatch.setattr(scan, "SCAN_MEMO_CAP", 2)

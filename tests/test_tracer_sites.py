@@ -78,9 +78,11 @@ def test_betti_table_calls_its_traced_layers(monkeypatch):
     assert calls["_grid_table"] == calls["lcm_lattice"] == 1
     assert calls["_join_closure"] == 0
     assert calls["_homology_dims_cached"] > 0
-    # A lattice cap at the lattice size (6 points) is below the radix product
-    # (9), so the key space is not dense and the mask route closes it by joins.
+    # A lattice cap and a grid bound at the lattice size (6 points) are below
+    # the radix product (9), so the key space is not dense and the mask route
+    # closes it by joins.
     monkeypatch.setattr(resolution_engine, "DEFAULT_LATTICE_CAP", 6)
+    monkeypatch.setattr(resolution_engine, "GRID_CAP", 6)
     calls.update(dict.fromkeys(calls, 0))
     assert resolution_engine.betti_table(ideal).totals == (1, 3, 2)
     assert calls["_join_closure"] == calls["lcm_lattice"] == 1
