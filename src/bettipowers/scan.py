@@ -8,15 +8,17 @@ aborting the stream: a resource limit, a violated profile invariant and a
 violated engine invariant (the last two also as findings).  Any other
 exception is a fault and propagates.
 
-Within one scan a repeated ideal is computed once: the generators, with the
-scan's fixed kmax, guard and field, decide the whole record, so a later draw
-of the same ideal gets a copy of the first record's outcome under its own
-index (memo bounded by SCAN_MEMO_CAP distinct ideals).  timing_seconds is
+Within one scan an ideal is computed once per relabelling of its variables:
+permuting them keeps every beta_i(S/I^k), and with the scan's kmax, guard and
+field those decide a record but its index, generators and timing.  The memo
+key (_relabelled) is itself a relabelling, so a hit is exact; it gets the
+first record of its key under its own index and generators (memo bounded by
+SCAN_MEMO_CAP keys).  An engine fault's message can name a multidegree, so an
+"error" record is reused only for identical generators.  timing_seconds is
 the time actually spent on each record, so repeats report about 0.
 """
 from __future__ import annotations
 
-import copy
 import json
 import random
 import time
@@ -44,7 +46,8 @@ from .verdicts import FAILS, VerdictReport, full_report
 
 RECORD_SEED_STRIDE = 1_000_003
 
-# Distinct ideals whose records one run_scan call keeps for reuse (about
+# Memo keys (relabelling classes, and the ideals of a class whose first
+# record is an engine fault) one run_scan call keeps records for (about
 # 1.7 KB each in three variables); read at call time.
 SCAN_MEMO_CAP = 1024
 
@@ -187,34 +190,58 @@ def _report_findings(report: VerdictReport, record: ScanRecord) -> list[dict]:
     ]
 
 
-def _reindexed(record: ScanRecord, index: int) -> ScanRecord:
-    """record's outcome as the record of index, sharing nothing mutable with it."""
+def _copied(tree):
+    # A JSON tree with a fresh dict, list or tuple at every level.
+    if isinstance(tree, dict):
+        return {k: _copied(v) for k, v in tree.items()}
+    if isinstance(tree, (list, tuple)):
+        return type(tree)(map(_copied, tree))
+    return tree
+
+
+def _reindexed(record: ScanRecord, index: int, generators: tuple) -> ScanRecord:
+    """record's outcome as the record of index and generators, sharing
+    nothing mutable with it."""
     start = time.perf_counter()
-    profile, verdicts, findings = copy.deepcopy(
-        (record.profile, record.verdicts, record.findings)
-    )
+    profile, verdicts, findings = _copied((record.profile, record.verdicts, record.findings))
     for finding in findings:
         finding["index"] = index
+        finding["generators"] = [list(g) for g in generators]
     copied = replace(
-        record, index=index, profile=profile, verdicts=verdicts, findings=findings
+        record, index=index, generators=generators,
+        profile=profile, verdicts=verdicts, findings=findings,
     )
     copied.timing = time.perf_counter() - start
     return copied
 
 
+def _relabelled(generators: tuple) -> tuple:
+    # The (degree, lex) sorted generators with the variables sorted by
+    # (sorted column, column), re-sorted by (degree, lex).
+    columns = sorted(zip(*generators), key=lambda c: (sorted(c), c))
+    return tuple(sorted(zip(*columns), key=lambda g: (sum(g), g)))
+
+
 def run_scan(params: ScanParameters) -> Iterator[ScanRecord]:
     # Records are kept as private copies, so a caller that edits a yielded
-    # record cannot change the records of later repeats.
-    memo: dict[tuple[tuple[int, ...], ...], ScanRecord] = {}
+    # record cannot change later ones.  A key whose first record is an engine
+    # fault keeps each ideal's record under (key, generators).
+    memo: dict[tuple, ScanRecord] = {}
     for index in range(params.count):
         ideal = _record_ideal(params, index)
-        first = memo.get(ideal.generators)
+        key = _relabelled(ideal.generators)
+        exact = (key, ideal.generators)
+        first = memo.get(key)
+        if first is not None and first.profile["status"] == "error":
+            first = memo.get(exact)
         if first is not None:
-            yield _reindexed(first, index)
+            yield _reindexed(first, index, ideal.generators)
             continue
         record = _scan_record(params, index, ideal)
         if len(memo) < SCAN_MEMO_CAP:
-            memo[ideal.generators] = _reindexed(record, index)
+            kept = _reindexed(record, index, ideal.generators)
+            if memo.setdefault(key, kept).profile["status"] == "error":
+                memo[exact] = kept
         yield record
 
 

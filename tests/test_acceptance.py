@@ -4,6 +4,7 @@ Each test prints one PASS line on success; tolerances and runtime budgets
 are pinned as constants.  Profiles are cached per fixture so the expensive
 series are computed once.
 """
+import hashlib
 import json
 import time
 from fractions import Fraction
@@ -236,6 +237,31 @@ def test_property_suite_and_deterministic_scan(tmp_path, capsys):
     with capsys.disabled():
         print("\nPASS: degree chains, integer multiplicities, Artinian max "
               "spread, and a byte-deterministic 100-ideal scan with zero findings")
+
+
+def test_artinian_scan_in_four_variables(tmp_path, capsys):
+    # The Artinian statements at more than the maximal ideal: 20 seeded
+    # records, each with the pure powers x_i^3, pinned by digest.  About 4 s
+    # on a 2-CPU host; the budget is a regression alarm.
+    out_path = tmp_path / "artinian.jsonl"
+    start = time.perf_counter()
+    code = cli_main(
+        ["scan", "--vars", "4", "--gens", "4", "--max-exp", "2", "--artinian",
+         "--count", "20", "--seed", "1", "--out", str(out_path)]
+    )
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    output = out_path.read_bytes()
+    assert hashlib.sha256(output).hexdigest() == (
+        "8cec64a3f66f7e3b22f939396914749ae1196a79cee0a27d8547aacdf7afe2c6"
+    )
+    records = [json.loads(line) for line in output.decode().splitlines()]
+    assert len(records) == 20 and all(r["type"] == "record" for r in records)
+    assert all(r["verdicts"]["artinian-max-spread"] == "holds" for r in records)
+    assert elapsed < 30.0, f"took {elapsed:.1f}s"
+    with capsys.disabled():
+        print(f"\nPASS: 20-record Artinian scan in 4 variables, max spread "
+              f"everywhere and zero findings, in {elapsed:.1f}s")
 
 
 def test_characteristic_dependence_probe(capsys):

@@ -627,6 +627,32 @@ def test_table_route_matches_mask_route_on_random_ideals():
     assert checked == 204
 
 
+def test_betti_data_are_invariant_under_relabelling():
+    # Permuting the variables is an automorphism of S: it moves each
+    # beta_{i,a}(S/I^k) to the permuted multidegree and keeps the totals, so
+    # a scan computes one ideal per relabelling.  In 7 variables the mask
+    # route runs, below that the table route.
+    fields = (RATIONALS, GF2, CoefficientField(3))
+    rng = random.Random(20200)
+    checked = {"table": 0, "mask": 0}
+    for ideal in _random_ideals(rng, 60, 2, 4, max_vars=7):
+        n = ideal.nvars
+        perm = rng.sample(range(n), n)
+        moved = MonomialIdeal.from_generators(
+            ideal.variables, [tuple(g[j] for j in perm) for g in ideal.generators]
+        )
+        for ideal_k, moved_k in zip(powers(ideal, 3), powers(moved, 3)):
+            for field in fields:
+                table, moved_table = betti_table(ideal_k, field), betti_table(moved_k, field)
+                assert moved_table.entries == {
+                    (i, tuple(a[j] for j in perm)): b for (i, a), b in table.entries.items()
+                }
+                assert moved_table.totals == table.totals
+                assert betti_totals(moved_k, field) == betti_totals(ideal_k, field) == table.totals
+            checked["mask" if n == 7 else "table"] += 1
+    assert checked["mask"] > 10 and checked["table"] > 100
+
+
 def test_dense_betti_table_time_alarm():
     # A regression alarm, not a benchmark: art4^8 has 268,819 lattice points
     # and 804 generators.  Reading its lattice from the grid table takes about

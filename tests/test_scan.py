@@ -24,7 +24,12 @@ from bettipowers.asymptotics import (
     kodiyalam_profile,
 )
 from bettipowers.monomial_core import MonomialIdeal
-from bettipowers.resolution_engine import RATIONALS, EngineInvariantError, ResourceLimitError
+from bettipowers.resolution_engine import (
+    RATIONALS,
+    CoefficientField,
+    EngineInvariantError,
+    ResourceLimitError,
+)
 from bettipowers.scan import ScanParameters, run_scan, scan_record, write_jsonl
 from bettipowers.verdicts import FAILS, HOLDS, conjecture_check, full_report
 
@@ -181,28 +186,108 @@ def _first_repeat(params: ScanParameters) -> tuple:
     raise AssertionError("no repeated ideal")
 
 
-@pytest.mark.parametrize(
-    "max_exp, count, seed", [(1, 100, 1), (1, 100, 2), (1, 100, 3), (2, 80, 10)]
-)
-def test_scan_reuses_repeats_exactly(max_exp, count, seed):
-    # A repeated ideal's record is its first record under its own index and
-    # shares no mutable part with it; the mixed-degree box at seed 10 draws a
-    # violating ideal at 58 and again at 79.
-    params = ScanParameters(3, 4, max_exp, count=count, seed=seed)
-    records = list(run_scan(params))
-    assert _jsonl(records) == _jsonl(scan_record(params, i) for i in range(count))
+def _classes(params: ScanParameters) -> dict:
+    """The generators of each draw, in draw order, under their memo key."""
+    classes = {}
+    for index in range(params.count):
+        generators = scan._record_ideal(params, index).generators
+        classes.setdefault(scan._relabelled(generators), []).append(generators)
+    return classes
+
+
+def _assert_reuse_is_exact(params: ScanParameters, records: list) -> None:
+    # A record reused for a relabelled or repeated ideal is its key's first
+    # record under its own index and generators, and shares no mutable part
+    # with the records before it.
+    assert _jsonl(records) == _jsonl(scan_record(params, i) for i in range(params.count))
     first = {}
     for record in records:
-        earlier = first.setdefault(record.generators, record)
+        earlier = first.setdefault(scan._relabelled(record.generators), record)
         if earlier is record:
             continue
         for name in ("profile", "verdicts", "findings"):
             assert getattr(record, name) is not getattr(earlier, name)
         assert all(a is not b for a in record.findings for b in earlier.findings)
+        assert all(f["generators"] == [list(g) for g in record.generators]
+                   for f in record.findings)
+
+
+@pytest.mark.parametrize(
+    "max_exp, count, seed", [(1, 100, 1), (1, 100, 2), (1, 100, 3), (2, 80, 10)]
+)
+def test_scan_reuses_repeats_exactly(max_exp, count, seed):
+    # The mixed-degree box at seed 10 draws a violating ideal at 58 and
+    # again at 79.
+    params = ScanParameters(3, 4, max_exp, count=count, seed=seed)
+    records = list(run_scan(params))
+    _assert_reuse_is_exact(params, records)
     if max_exp == 2:
         record = records[79]
         assert record.generators == ((0, 0, 2), (1, 2, 0), (2, 1, 1))
         assert record.findings and all(f["index"] == 79 for f in record.findings)
+
+
+@pytest.mark.parametrize(
+    "nvars, ngens, max_exp, count, seed, options",
+    [
+        (3, 4, 1, 100, 4, {"field": CoefficientField(2)}),
+        (3, 4, 2, 100, 1, {}),
+        (4, 5, 1, 100, 1, {}),
+        (3, 3, 3, 100, 1, {}),
+        (2, 3, 3, 100, 1, {"artinian": True}),
+        (5, 5, 1, 30, 1, {}),
+    ],
+    ids=["sqfree3-f2", "exp2", "vars4", "exp3", "artinian2", "vars5"],
+)
+def test_scan_matches_memo_free_records(monkeypatch, nvars, ngens, max_exp, count, seed, options):
+    # With test_scan_reuses_repeats_exactly these cover square-free,
+    # mixed-degree, wider and Artinian boxes, F_2, and 2 to 5 variables; each
+    # relabelling class is computed once.
+    params = ScanParameters(nvars, ngens, max_exp, count=count, seed=seed, **options)
+    calls = _counting_series(monkeypatch)
+    records = list(run_scan(params))
+    assert len(calls) == len(set(calls)) == len(_classes(params))
+    _assert_reuse_is_exact(params, records)
+
+
+def test_scan_reuses_findings_under_relabellings(monkeypatch):
+    # (x^2, y^2, xyz) fails the multiplicity bound; the scan draws it under
+    # three labellings, one of them twice, and computes it once.
+    draws = [
+        ((2, 0, 0), (0, 2, 0), (1, 1, 1)),
+        ((2, 0, 0), (0, 0, 2), (1, 1, 1)),
+        ((0, 2, 0), (0, 0, 2), (1, 1, 1)),
+        ((2, 0, 0), (0, 0, 2), (1, 1, 1)),
+    ]
+    monkeypatch.setattr(
+        scan, "_record_ideal", lambda params, index: MonomialIdeal.from_generators(
+            ("x1", "x2", "x3"), draws[index]
+        )
+    )
+    params = ScanParameters(3, 3, 2, count=len(draws), seed=1)
+    calls = _counting_series(monkeypatch)
+    records = list(run_scan(params))
+    assert len(calls) == 1
+    _assert_reuse_is_exact(params, records)
+    for record in records:
+        assert [f["kind"] for f in record.findings] == ["multiplicity-binomial-bound-violation"]
+        assert set(record.generators) == set(draws[record.index])
+
+
+def _injected(monkeypatch, hit, error, message=lambda I: "injected failure") -> list:
+    # betti_table raises error on the ideals hit selects (only k=1 reaches
+    # it); returns the generators it raised on.
+    real = asymptotics.betti_table
+    raised = []
+
+    def failing(I, F):
+        if hit(I.generators):
+            raised.append(I.generators)
+            raise error(message(I))
+        return real(I, F)
+
+    monkeypatch.setattr(asymptotics, "betti_table", failing)
+    return raised
 
 
 @pytest.mark.parametrize(
@@ -215,26 +300,64 @@ def test_scan_reuses_repeats_exactly(max_exp, count, seed):
 )
 def test_scan_reuses_in_place_failures(monkeypatch, error, status, kinds):
     params = ScanParameters(3, 4, 1, count=100, seed=1)
-    target = _first_repeat(params)
-    real = asymptotics.betti_table
-    raised = []
+    classes = _classes(params)
+    if error is ResourceLimitError:
+        # A real limit does not depend on the labelling: fail the whole class
+        # with the most labellings, which the scan computes once.
+        key = max(classes, key=lambda k: len(set(classes[k])))
+        assert len(set(classes[key])) >= 2
 
-    def failing_on_target(I, F):
-        if I.generators == target:
-            raised.append(I)
-            raise error("injected failure")
-        return real(I, F)
+        def hit(generators):
+            return scan._relabelled(generators) == key
+    else:
+        # An engine fault is reused for exact repeats only, so the target is
+        # the first draw of its class and is drawn again.
+        target = next(d[0] for d in classes.values() if d.count(d[0]) >= 2)
 
-    monkeypatch.setattr(asymptotics, "betti_table", failing_on_target)
+        def hit(generators):
+            return generators == target
+
+    raised = _injected(monkeypatch, hit, error)
     records = list(run_scan(params))
     assert len(raised) == 1
     assert _jsonl(records) == _jsonl(scan_record(params, i) for i in range(100))
-    hits = [r for r in records if r.generators == target]
+    hits = [r for r in records if hit(r.generators)]
     assert len(hits) >= 2
     for record in hits:
         assert record.profile["status"] == status
         assert [f["kind"] for f in record.findings] == kinds
         assert all(f["index"] == record.index for f in record.findings)
+
+
+def test_scan_recomputes_engine_faults_per_labelling(monkeypatch):
+    # A fault whose message names the ideal, on every labelling of one class:
+    # each labelling is computed once and keeps its own message, and exact
+    # repeats reuse its record.
+    params = ScanParameters(3, 4, 1, count=100, seed=1)
+    classes = _classes(params)
+    key = max(classes, key=lambda k: len(set(classes[k])))
+    draws = classes[key]
+    raised = _injected(
+        monkeypatch,
+        lambda generators: scan._relabelled(generators) == key,
+        EngineInvariantError,
+        lambda I: f"injected fault at {I.generators}",
+    )
+    records = list(run_scan(params))
+    assert sorted(raised) == sorted(set(draws))
+    assert 2 <= len(raised) < len(draws)
+    assert _jsonl(records) == _jsonl(scan_record(params, i) for i in range(100))
+    hits = [r for r in records if r.generators in raised]
+    assert len(hits) == len(draws)
+    for record in hits:
+        assert record.profile == {
+            "status": "error",
+            "error": f"EngineInvariantError: power k=1: injected fault at {record.generators}",
+        }
+        [finding] = record.findings
+        assert finding["kind"] == "engine-invariant" and finding["index"] == record.index
+        assert finding["generators"] == [list(g) for g in record.generators]
+        assert str(record.generators) in finding["message"]
 
 
 def _counting_series(monkeypatch) -> list:
@@ -253,7 +376,11 @@ def test_scan_computes_each_distinct_ideal_once(monkeypatch):
     params = ScanParameters(3, 4, 1, count=100, seed=1)
     calls = _counting_series(monkeypatch)
     list(run_scan(params))
-    assert len(calls) == len(set(calls)) == 14
+    # 14 distinct ideals fall into 6 relabelling classes, each computed once.
+    classes = _classes(params)
+    assert sum(len(set(draws)) for draws in classes.values()) == 14
+    assert len(calls) == len(set(calls)) == len(classes) == 6
+    assert len({scan._relabelled(c) for c in calls}) == 6
     # Edits to a yielded record do not reach the later repeats of its ideal.
     target = _first_repeat(params)
     stream = run_scan(params)
@@ -287,6 +414,7 @@ def test_scan_memo_cap_keeps_output(monkeypatch):
     monkeypatch.setattr(scan, "SCAN_MEMO_CAP", 2)
     calls = _counting_series(monkeypatch)
     records = list(run_scan(params))
-    kept = list(dict.fromkeys(r.generators for r in records))[:2]
-    assert len(calls) == 2 + sum(r.generators not in kept for r in records)
+    keys = [scan._relabelled(r.generators) for r in records]
+    kept = list(dict.fromkeys(keys))[:2]
+    assert len(calls) == 2 + sum(key not in kept for key in keys)
     assert _jsonl(records) == _jsonl(scan_record(params, i) for i in range(100))
