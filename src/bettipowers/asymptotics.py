@@ -53,13 +53,6 @@ class BettiSeries:
     def column(self, i: int) -> list[tuple[int, int]]:
         return [(k + 1, row[i]) for k, row in enumerate(self.rows)]
 
-    def to_csv(self) -> str:
-        n = self.nvars
-        lines = ["k," + ",".join(f"beta_{i}" for i in range(n + 1))]
-        for k, row in enumerate(self.rows, start=1):
-            lines.append(str(k) + "," + ",".join(map(str, row)))
-        return "\n".join(lines) + "\n"
-
 
 @dataclass(frozen=True)
 class NotStabilized:

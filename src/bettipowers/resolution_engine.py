@@ -449,7 +449,7 @@ def _table_cells(
     # once per distinct face code with nonzero homology.  The codes are grouped
     # by one sort, keyed by a stable argsort only when rows are decoded.  Cones
     # are contractible and stay in numpy; each other distinct code reaches
-    # _maximal_masks and the homology once.
+    # the homology once, with its maximal faces in ascending order.
     n = len(space.radices)
     keys, table = _grid_table(space)
     codes = _face_codes(space, keys, table)
@@ -476,7 +476,7 @@ def _table_cells(
             low = top & -top
             faces.append(low.bit_length() - 1)
             top ^= low
-        dims = _homology_dims_cached(n, _maximal_masks(faces), characteristic)
+        dims = _homology_dims_cached(n, tuple(faces), characteristic)
         if any(dims):
             homologous.append((lo, hi, dims))
     rows = []

@@ -522,25 +522,32 @@ def _mask_route(ideal):
 
 
 def test_only_points_that_reach_homology_become_python_sets(monkeypatch):
-    # Counts, not times.  On the table route _maximal_masks runs once per
-    # distinct complex that is not a cone; on the mask route once per point
-    # handed to _homology_dims_cached, so every skipped point stays in numpy.
+    # Counts, not times.  On the table route _homology_dims_cached runs once
+    # per distinct complex that is not a cone, on the maximal faces read off
+    # its face code, and _maximal_masks does not run; on the mask route
+    # _maximal_masks runs once per point handed to _homology_dims_cached, so
+    # every skipped point stays in numpy.
     ideal = power(fixture_ideal("mixed6"), 4)
     lattice = lcm_lattice(ideal)
     complexes = {_upper_koszul_reference(ideal, a) for a in _rows(lattice)}
     distinct = [c for c in complexes if not _is_cone(c)]
     calls = {"_maximal_masks": 0, "_homology_dims_cached": 0}
+    maximal_faces = []
     for attr in calls:
         original = getattr(resolution_engine, attr)
 
         def counting(*args, _attr=attr, _original=original):
             calls[_attr] += 1
+            if _attr == "_homology_dims_cached":
+                maximal_faces.append(args[1])
             return _original(*args)
 
         monkeypatch.setattr(resolution_engine, attr, counting)
     assert _dense(ideal)
     betti_table(ideal)
-    assert 0 < calls["_maximal_masks"] == len(distinct) <= calls["_homology_dims_cached"]
+    assert calls["_maximal_masks"] == 0
+    assert 0 < calls["_homology_dims_cached"] == len(distinct)
+    assert all(_maximal_masks(faces) == faces for faces in maximal_faces)
     # betti_totals classifies the same complexes as betti_table, as often.
     table_calls = dict(calls)
     calls.update(dict.fromkeys(calls, 0))
