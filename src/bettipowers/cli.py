@@ -176,9 +176,10 @@ def cmd_oracle_check(args) -> int:
     results: dict[str, list[dict]] = {str(field): [] for field in fields}
     mismatch = False
     for k, ideal_k in enumerate(ideal_powers, start=1):
-        # One Taylor complex per power, ranked over every field.
-        for field, taylor in zip(fields, taylor_betti(ideal_k, fields)):
-            koszul, taylor = list(betti_totals(ideal_k, field)), list(taylor)
+        # One Taylor complex and one lattice per power, ranked over every field.
+        taylor_all = taylor_betti(ideal_k, fields)
+        for field, koszul, taylor in zip(fields, betti_totals(ideal_k, fields), taylor_all):
+            koszul, taylor = list(koszul), list(taylor)
             agree = koszul == taylor
             mismatch = mismatch or not agree
             results[str(field)].append({"k": k, "koszul": koszul, "taylor": taylor, "agree": agree})

@@ -3,9 +3,9 @@
 Two independent routes are provided.  The main engine evaluates reduced
 simplicial homology of upper Koszul complexes at the points of the lcm
 lattice; the oracle computes ranks in the Taylor complex tensored with the
-field.  Both pass their boundary maps, one sparse row per cell, to a single
-exact rank kernel (rows kept primitive over Q, mod p over odd F_p, as bits
-over F_2) and share the vertex order and boundary sign convention.
+field.  Both pass their boundary maps, one signed bit row of +-1 entries
+per cell, to a single exact rank kernel (XOR over F_2, bit-sliced over F_3,
+decoded rows otherwise) and share the vertex order and sign convention.
 
 The engine codes lattice points as mixed-radix keys over the generators'
 distinct values on each axis.  When that key space has at most GRID_CAP
@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -99,33 +99,54 @@ RATIONALS = CoefficientField(0)
 GF2 = CoefficientField(2)
 
 
-def rank_over(
-    rows: Sequence[Mapping[int, int]], ncols: int, F: CoefficientField
-) -> int:
-    """Exact rank over F of the integer matrix with these sparse rows {column: entry}.
+def rank_over(rows: Sequence[tuple[int, int]], ncols: int, F: CoefficientField) -> int:
+    """Exact rank over F of the matrix with these signed bit rows (plus, minus).
 
-    Each row is reduced against the pivot row kept for its leading column
-    until it vanishes or that column is new.  Over F_2 a row is an int with a
-    bit per odd entry, led by its highest bit and reduced by XOR; otherwise it
-    is led by its lowest column, r <- a*r - b*top, mod p over F_p, and over Q
-    divided by the gcd of its entries to stay small.  The rows are not
-    modified; ncols serves perfbench/tracer.py, which reads len(rows) * ncols.
+    The bits of plus are the columns of the +1 entries, those of minus the
+    -1 entries.  Each row is reduced against the pivot kept for its leading
+    column until it vanishes or that column is new.  Over F_2 (plus | minus,
+    by XOR) and F_3 a row leads with its highest bit; over F_3 plus and minus
+    are the bit planes of 1 and 2, pivots lead with 1, and a row adds a pivot
+    or its negation (planes swapped) in seven bit operations (Boothby-Bradshaw
+    bit-slicing).  Otherwise a row is decoded to {column: entry}, led by its
+    lowest column, r <- a*r - b*top, mod p over F_p, and over Q divided by
+    the gcd of its entries.  ncols serves perfbench/tracer.py, which reads
+    len(rows) * ncols.
     """
     p = F.characteristic
     if p == 2:
         bits: dict[int, int] = {}
-        for r in (sum(1 << c for c, x in row.items() if x & 1) for row in rows):
-            while r.bit_length() in bits:
-                r ^= bits[r.bit_length()]
-            if r:
-                bits[r.bit_length()] = r
+        for plus, minus in rows:
+            r = plus | minus
+            lead = r.bit_length()
+            while lead in bits:
+                r ^= bits[lead]
+                lead = r.bit_length()
+            if lead:
+                bits[lead] = r
         return len(bits)
+    if p == 3:
+        planes: dict[int, tuple[int, int]] = {}
+        for one, two in rows:
+            lead = (one | two).bit_length()
+            while lead in planes:
+                top_one, top_two = planes[lead]
+                if one >> lead - 1:  # r - top = r + (-top)
+                    top_one, top_two = top_two, top_one
+                t = (one | top_two) ^ (two | top_one)  # r + top, plane by plane
+                one, two = (two | top_two) ^ t, (one | top_one) ^ t
+                lead = (one | two).bit_length()
+            if lead:
+                planes[lead] = (one, two) if one >> lead - 1 else (two, one)
+        return len(planes)
     pivots: dict[int, dict[int, int]] = {}
-    for row in rows:
-        if p:
-            r = {c: x % p for c, x in row.items() if x % p}
-        else:
-            r = {c: x for c, x in row.items() if x}
+    for signed in rows:
+        r = {}
+        for plane, x in zip(signed, (1, p - 1 if p else -1)):
+            while plane:
+                low = plane & -plane
+                r[low.bit_length() - 1] = x
+                plane ^= low
         while r:
             low = min(r)
             top = pivots.get(low)
@@ -197,12 +218,12 @@ def _homology_dims_cached(
         lower = {f: i for i, f in enumerate(faces_by_dim[j - 1])}
         columns = []
         for f in upper:
-            column, sign, rest = {}, 1, f
+            signed, sign, rest = [0, 0], 0, f
             while rest:  # the vertices of f, in ascending order
                 bit = rest & -rest
-                column[lower[f ^ bit]] = sign
-                sign, rest = -sign, rest ^ bit
-            columns.append(column)
+                signed[sign] |= 1 << lower[f ^ bit]
+                sign, rest = sign ^ 1, rest ^ bit
+            columns.append(tuple(signed))
         rank[j + 1] = rank_over(columns, len(lower), F)
     counts = [1] + [len(fs) for fs in faces_by_dim]
     return tuple(counts[i] - rank[i] - rank[i + 1] for i in range(n + 1))
@@ -443,10 +464,11 @@ def _face_codes(space: _KeySpace, keys: np.ndarray, table: np.ndarray) -> np.nda
 
 
 def _table_cells(
-    space: _KeySpace, characteristic: int, decode: bool
-) -> Iterator[tuple[int, tuple[int, ...], list[ExponentVector]]]:
-    # The table route: (points, homology dims, their exponent rows if decode)
-    # once per distinct face code with nonzero homology.  The codes are grouped
+    space: _KeySpace, characteristics: Sequence[int], decode: bool
+) -> Iterator[tuple[int, list[tuple[int, ...]], list[ExponentVector]]]:
+    # The table route: (points, homology dims per characteristic, their
+    # exponent rows if decode) once per distinct face code with nonzero
+    # homology over some of the characteristics.  The codes are grouped
     # by one sort, keyed by a stable argsort only when rows are decoded.  Cones
     # are contractible and stay in numpy; each other distinct code reaches
     # the homology once, with its maximal faces in ascending order.
@@ -476,8 +498,8 @@ def _table_cells(
             low = top & -top
             faces.append(low.bit_length() - 1)
             top ^= low
-        dims = _homology_dims_cached(n, tuple(faces), characteristic)
-        if any(dims):
+        dims = [_homology_dims_cached(n, tuple(faces), p) for p in characteristics]
+        if any(map(any, dims)):
             homologous.append((lo, hi, dims))
     rows = []
     if decode:  # each generator's complex is the empty face alone: homologous is not empty
@@ -489,14 +511,14 @@ def _table_cells(
 
 
 def _mask_cells(
-    I: MonomialIdeal, characteristic: int
-) -> Iterator[tuple[int, tuple[int, ...], list[ExponentVector]]]:
+    I: MonomialIdeal, characteristics: Sequence[int]
+) -> Iterator[tuple[int, list[tuple[int, ...]], list[ExponentVector]]]:
     # The mask route: one point of the lcm lattice at a time.
     lattice = lcm_lattice(I)
     G = np.array(I.generators, dtype=np.int64)
-    for p, maximal in _upper_koszul_faces(G, lattice):
-        dims = _homology_dims_cached(I.nvars, maximal, characteristic)
-        yield 1, dims, [tuple(lattice[p].tolist())]
+    for at, maximal in _upper_koszul_faces(G, lattice):
+        dims = [_homology_dims_cached(I.nvars, maximal, p) for p in characteristics]
+        yield 1, dims, [tuple(lattice[at].tolist())]
 
 
 @dataclass(frozen=True)
@@ -520,36 +542,40 @@ class BettiTable:
 
 
 def _assemble(
-    I: MonomialIdeal, F: CoefficientField, entries: dict | None
-) -> tuple[int, ...]:
-    # The Betti totals of S/I, checked, and each point's nonzero beta_{i,a}
-    # in entries if given (else the table route decodes no point).
+    I: MonomialIdeal, fields: Sequence[CoefficientField], entries: dict | None
+) -> list[tuple[int, ...]]:
+    # The Betti totals of S/I over each field, checked, and each point's
+    # nonzero beta_{i,a} in entries if given, with one field (else the table
+    # route decodes no point).
     n = I.nvars
     if n > 63:
         raise ResourceLimitError(f"{n} variables exceed the engine's limit of 63")
     space = _KeySpace(I.generators)
+    characteristics = [F.characteristic for F in fields]
     if n <= 6 and space.dense:
-        cells = _table_cells(space, F.characteristic, entries is not None)
+        cells = _table_cells(space, characteristics, entries is not None)
     else:
-        cells = _mask_cells(I, F.characteristic)
-    totals = [1] + [0] * n
-    for count, dims, points in cells:
-        for i, d in enumerate(dims, start=1):  # homological index: j + 2 for H~_j
-            if d:
-                if i > n:
-                    at = points[0] if points else "a lattice point"
-                    raise EngineInvariantError(f"homology above the ambient dimension at {at}")
-                totals[i] += d * count
-                if entries is not None:
-                    for a in points:
-                        entries[(i, a)] = d
-    if totals[1] != len(I.generators):
-        raise EngineInvariantError(
-            f"beta_1 = {totals[1]} disagrees with {len(I.generators)} minimal generators"
-        )
-    if sum((-1) ** i * b for i, b in enumerate(totals)) != 0:
-        raise EngineInvariantError("Euler alternating sum of Betti totals is nonzero")
-    return tuple(totals)
+        cells = _mask_cells(I, characteristics)
+    totals = [[1] + [0] * n for _ in fields]
+    for count, dims_per_field, points in cells:
+        for total, dims in zip(totals, dims_per_field):
+            for i, d in enumerate(dims, start=1):  # homological index: j + 2 for H~_j
+                if d:
+                    if i > n:
+                        at = points[0] if points else "a lattice point"
+                        raise EngineInvariantError(f"homology above the ambient dimension at {at}")
+                    total[i] += d * count
+                    if entries is not None:
+                        for a in points:
+                            entries[(i, a)] = d
+    for total in totals:
+        if total[1] != len(I.generators):
+            raise EngineInvariantError(
+                f"beta_1 = {total[1]} disagrees with {len(I.generators)} minimal generators"
+            )
+        if sum((-1) ** i * b for i, b in enumerate(total)) != 0:
+            raise EngineInvariantError("Euler alternating sum of Betti totals is nonzero")
+    return [tuple(total) for total in totals]
 
 
 def betti_table(I: MonomialIdeal, F: CoefficientField = RATIONALS) -> BettiTable:
@@ -563,24 +589,32 @@ def betti_table(I: MonomialIdeal, F: CoefficientField = RATIONALS) -> BettiTable
     asserted on the result.
     """
     entries: dict[tuple[int, ExponentVector], int] = {(0, (0,) * I.nvars): 1}
-    totals = _assemble(I, F, entries)
+    totals = _assemble(I, [F], entries)[0]
     return BettiTable(I, F, entries, totals)
 
 
-def betti_totals(I: MonomialIdeal, F: CoefficientField = RATIONALS) -> tuple[int, ...]:
+def betti_totals(
+    I: MonomialIdeal, F: Union[CoefficientField, Sequence[CoefficientField]] = RATIONALS
+) -> Union[tuple[int, ...], list[tuple[int, ...]]]:
     """betti_table(I, F).totals, with the same checks, without the multidegrees.
 
     On the table route each distinct face code adds its homology dims times
-    its number of points, and no point is decoded.
+    its number of points, and no point is decoded.  Given a sequence of
+    fields, returns one totals tuple per field from one lattice and one set
+    of complexes; only the homology runs once per field.
     """
-    return _assemble(I, F, None)
+    totals = _assemble(I, [F] if isinstance(F, CoefficientField) else list(F), None)
+    return totals[0] if isinstance(F, CoefficientField) else totals
 
 
-def _taylor_maps(gens: Sequence[ExponentVector], sizes: Iterable[int]) -> Iterator[tuple]:
-    # (s, d_s) for these s >= 2.  Row S (a bit mask; masks ascend in each size)
-    # has (-1)^(members of S below b) at column S - b where S - b keeps lcm(S).
-    # Exponents are ranked per axis, 0 included: codes fit in uint8, the 2^m
-    # lcms take m doubling steps, and lcm(S - b) <= lcm(S) are equal iff their sums are.
+def _taylor_maps(gens: Sequence[ExponentVector]) -> Iterator[list[tuple[int, int]]]:
+    # d_s for s = 2..m, in signed bit rows.  Row S (a bit mask; masks
+    # ascend in each size) has (-1)^(members of S below b) at column S - b
+    # where S - b keeps lcm(S).  Exponents are ranked per axis, 0 included:
+    # codes fit in uint8, the 2^m lcms take m doubling steps, and lcm(S - b)
+    # <= lcm(S) are equal iff their sums are.  A batch of rows packs each sign
+    # into at most _CHUNK_CELLS << 3 bytes, and a row reads its bytes up to
+    # its last entry.
     m = len(gens)
     codes = np.array([[sorted({0, *c}).index(e) for e in c] for c in zip(*gens)], np.uint8).T
     lcm = np.zeros((1 << m, codes.shape[1]), dtype=np.uint8)
@@ -590,14 +624,27 @@ def _taylor_maps(gens: Sequence[ExponentVector], sizes: Iterable[int]) -> Iterat
     size = np.bitwise_count(np.arange(1 << m))
     subsets = [np.flatnonzero(size == s) for s in range(m + 1)]
     bits = 1 << np.arange(m)
-    for s in sizes:
-        S = subsets[s][:, None]
-        faces = S ^ bits
-        at, b = ((S & bits != 0) & (weight[faces] == weight[S])).nonzero()
-        columns = np.searchsorted(subsets[s - 1], faces[at, b]).tolist()
-        signs = np.where(np.bitwise_count(S[at, 0] & (bits[b] - 1)) & 1, -1, 1).tolist()
-        ends = np.searchsorted(at, np.arange(len(S) + 1)).tolist()
-        yield s, [dict(zip(columns[i:j], signs[i:j])) for i, j in zip(ends, ends[1:])]
+    for s in range(2, m + 1):
+        width = (len(subsets[s - 1]) + 7) // 8  # bytes per row
+        step = max(1, (_CHUNK_CELLS << 3) // width)
+        rows = []
+        for at in range(0, len(subsets[s]), step):
+            S = subsets[s][at:at + step, None]
+            faces = S ^ bits
+            row, b = ((S & bits != 0) & (weight[faces] == weight[S])).nonzero()
+            column = np.searchsorted(subsets[s - 1], faces[row, b])
+            sign = np.bitwise_count(S[row, 0] & (bits[b] - 1)) & 1  # 1 for -1
+            planes = np.zeros((2, len(S), width), np.uint8)
+            np.bitwise_or.at(planes, (sign, row, column >> 3), (1 << (column & 7)).astype(np.uint8))
+            start = np.arange(len(S)) * width
+            end = start.copy()
+            np.maximum.at(end, row, start[row] + (column >> 3) + 1)
+            plus, minus = (memoryview(plane.ravel()) for plane in planes)
+            rows += [
+                (int.from_bytes(plus[i:j], "little"), int.from_bytes(minus[i:j], "little"))
+                for i, j in zip(start.tolist(), end.tolist())
+            ]
+        yield rows
 
 
 def taylor_betti(
@@ -609,10 +656,12 @@ def taylor_betti(
     generator subset and a facet is +-1 exactly when omitting the generator
     does not change the subset lcm.  Exponential in the generator count, so
     more than DEFAULT_TAYLOR_CAP generators raise ResourceLimitError.  Given
-    a sequence of fields, returns one totals tuple per field; each map is
-    built once for all prime fields.  An integer rank only drops mod 2, so
-    next to a zero mod-2 Betti number the F_2 ranks (XOR on bit rows) hold
-    over Q, and Q builds again and ranks only the other maps.
+    a sequence of fields, returns one totals tuple per field from one build
+    of each map.  An integer rank only drops mod p, so next to a zero mod-p
+    Betti number the F_p ranks hold over Q.  When Q is asked for, every map
+    is ranked over F_2; a map that no zero mod-2 Betti number certifies reads
+    the F_3 ranks of itself and its neighbours, and is ranked over Q only if
+    no zero mod-3 Betti number certifies it either.
     """
     fields = [F] if isinstance(F, CoefficientField) else list(F)
     gens, m, n = I.generators, len(I.generators), I.nvars
@@ -620,20 +669,38 @@ def taylor_betti(
         raise ResourceLimitError(
             f"{m} generators exceed the Taylor oracle cap of {DEFAULT_TAYLOR_CAP}"
         )
-    dims = [math.comb(m, s) for s in range(m + 1)]  # dim T_s
-    over = {f.characteristic: f for f in fields + [GF2] * (RATIONALS in fields) if f.characteristic}
-    ranks = {p: [0] * (m + 2) for p in over}  # [p][s]: rank of d_s; d_1 = 0 mod the max ideal
-    for s, rows in _taylor_maps(gens, range(2, m + 1)):
-        for p, field in over.items():
-            ranks[p][s] = rank_over(rows, dims[s - 1], field)
-        del rows  # before the next map is built
-    if RATIONALS in fields:
-        r2 = ranks[2]
-        free = [s for s in range(2, m + 1) if all(dims[t] - r2[t] - r2[t + 1] for t in (s - 1, s))]
-        q = {s: rank_over(rows, dims[s - 1], RATIONALS) for s, rows in _taylor_maps(gens, free)}
-        ranks[0] = [q.get(s, r) for s, r in enumerate(r2)]
-    betti = {p: [dims[s] - r[s] - r[s + 1] for s in range(m + 1)] for p, r in ranks.items()}
-    if any(any(b[n + 1:]) for b in betti.values()):
-        raise EngineInvariantError(f"Taylor homology above the ambient dimension: {betti}")
-    totals = [tuple((betti[f.characteristic] + [0] * n)[: n + 1]) for f in fields]
+    dims = [math.comb(m, s) for s in range(m + 2)]  # dim T_s
+    wanted = {f.characteristic for f in fields}
+    every = sorted(wanted - {0} | ({2} if 0 in wanted else set()))  # ranked on every map
+    maps: dict[int, list[tuple[int, int]]] = {}  # at most two: Q settles d_(s-1) beside d_s
+    memo: dict[tuple[int, int], int] = {}
+
+    def rank(p: int, s: int) -> int:  # of d_s over F_p (Q for 0); d_1 = 0 mod the max ideal
+        if (p, s) not in memo:
+            memo[p, s] = rank_over(maps[s], dims[s - 1], CoefficientField(p)) if 1 < s <= m else 0
+        return memo[p, s]
+
+    def betti(p: int, t: int) -> int:
+        return dims[t] - rank(p, t) - rank(p, t + 1)
+
+    built = _taylor_maps(gens)
+    for s in range(2, m + 2):
+        maps[s] = next(built, [])
+        for p in every:
+            rank(p, s)
+        t = s - 1
+        if 0 in wanted and t > 1:
+            if betti(2, t):  # the certificate of d_(t+1) may read it
+                rank(3, t)
+            cert = next((p for p in (2, 3) if not (betti(p, t - 1) and betti(p, t))), 0)
+            memo[0, t] = rank(cert, t)
+        maps.pop(t, None)
+        # Betti numbers are nonzero up to the projective dimension and zero
+        # beyond, so past a zero mod-2 one F_2 certifies every later map.
+        if not (0 in wanted and betti(2, t)):
+            del maps[s]
+    betti_of = {p: [betti(p, t) for t in range(m + 1)] for p in wanted}
+    if any(any(b[n + 1:]) for b in betti_of.values()):
+        raise EngineInvariantError(f"Taylor homology above the ambient dimension: {betti_of}")
+    totals = [tuple((betti_of[f.characteristic] + [0] * n)[: n + 1]) for f in fields]
     return totals[0] if isinstance(F, CoefficientField) else totals

@@ -1,8 +1,20 @@
 """Dense reference rank kernels that resolution_engine.rank_over is checked against.
 
-Both take the matrix as a list of equal-length integer rows.
+Both take the matrix as a list of equal-length integer rows; signed_rows
+writes a matrix with entries 0 and +-1 in the rows rank_over takes.
 """
 from typing import Sequence
+
+
+def signed_rows(rows: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
+    """The signed bit rows (plus, minus) of a matrix with entries 0 and +-1."""
+    return [
+        (
+            sum(1 << c for c, x in enumerate(row) if x == 1),
+            sum(1 << c for c, x in enumerate(row) if x == -1),
+        )
+        for row in rows
+    ]
 
 
 def rank_integer(rows: Sequence[Sequence[int]], ncols: int) -> int:

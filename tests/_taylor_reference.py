@@ -3,8 +3,10 @@
 Subset lcms come from a recursive cache over exponent tuples, subsets from
 itertools.combinations, and every boundary map is ranked over the one field
 asked for: no numpy, no rank coding, and no ranks certified from another
-field.  The ranks themselves come from resolution_engine.rank_over, whose
-kernels are checked against the dense ones in _dense_rank.
+field.  Each row is built entry by entry as the signed bit row (plus, minus)
+that rank_over takes, with no batches.  The ranks themselves come from
+resolution_engine.rank_over, whose kernels are checked against the dense
+ones in _dense_rank.
 """
 import itertools
 from functools import lru_cache
@@ -35,14 +37,18 @@ def taylor_betti_reference(I, field: CoefficientField) -> tuple[int, ...]:
         lower = {s: j for j, s in enumerate(subsets[size - 1])}
         columns = []
         for s in subsets[size]:
-            column, sign, rest = {}, 1, s
+            plus = minus = 0  # the columns of the +1 and of the -1 entries
+            sign, rest = 1, s
             while rest:
                 bit = rest & -rest
                 rest ^= bit
                 if lcm_of(s ^ bit) == lcm_of(s):
-                    column[lower[s ^ bit]] = sign
+                    if sign > 0:
+                        plus |= 1 << lower[s ^ bit]
+                    else:
+                        minus |= 1 << lower[s ^ bit]
                 sign = -sign
-            columns.append(column)
+            columns.append((plus, minus))
         ranks[size] = rank_over(columns, len(lower), field)
     betti = [1] + [len(subsets[i]) - ranks[i] - ranks[i + 1] for i in range(1, m + 1)]
     assert not any(betti[n + 1:]), betti

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from bettipowers import monomial_core, spectra
+from bettipowers import monomial_core, resolution_engine, spectra
 from bettipowers.cli import main
 from bettipowers.monomial_core import power, product
 from bettipowers.resolution_engine import CoefficientField, betti_table
@@ -113,6 +113,15 @@ def test_oracle_check_matches_benchmark_reference_bytes(capsys):
     code, out, _ = _run(capsys, ["oracle-check", _fixture("rp2"), "--fields", "q,2"])
     assert code == 0
     assert out.encode() == reference.read_bytes()
+
+
+def test_oracle_check_over_three_fields_keeps_its_bytes(capsys):
+    # Q, F_2 and F_3 on rp2: the F_3 kernel end to end, and Q ranks that the
+    # mod-3 Betti numbers certify.  The digest was taken before either existed.
+    code, out, _ = _run(capsys, ["oracle-check", _fixture("rp2"), "--fields", "q,2,3"])
+    assert code == 0
+    digest = "174d9ccc7e39d7b448942a761afd8ff64292ff5f4b8171adeadd3a597ce99b2d"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_profile_matches_benchmark_reference_bytes(capsys):
@@ -245,16 +254,24 @@ def test_oracle_check_agreement(capsys):
 
 def test_oracle_check_builds_each_power_once(capsys, monkeypatch):
     calls = []
+    grids = []
 
     def counting_product(I, J):
         calls.append(1)
         return product(I, J)
 
+    def counting_grid_table(space):
+        grids.append(space.size)
+        return grid_table(space)
+
+    grid_table = resolution_engine._grid_table
     monkeypatch.setattr(monomial_core, "product", counting_product)
+    monkeypatch.setattr(resolution_engine, "_grid_table", counting_grid_table)
     argv = ["oracle-check", _fixture("maximal2"), "--kmax", "4", "--fields", "q,2,3"]
     code, out, _ = _run(capsys, argv)
     assert code == 0 and json.loads(out)["engines_agree"] is True
     assert len(calls) == 3  # I^2, I^3 and I^4, shared by the three fields
+    assert len(grids) == 4  # one lattice per power, I to I^4, shared too
 
 
 def test_usage_errors_exit_one(capsys):

@@ -28,7 +28,7 @@ from bettipowers.resolution_engine import (
     taylor_betti,
 )
 
-from _dense_rank import rank_integer, rank_mod_p
+from _dense_rank import rank_integer, rank_mod_p, signed_rows
 from _face_code_reference import face_codes_reference
 from _fixtures import FIXTURE_DIR, fixture_ideal
 from _kpolynomial import euler_characteristics, k_polynomial
@@ -57,76 +57,95 @@ def test_field_primality_is_fast_and_exact():
         CoefficientField(2**89 - 1)
 
 
-def _sparse(dense):
-    return [{c: x for c, x in enumerate(row) if x} for row in dense]
+def _dense_rank(dense, ncols, p):
+    return rank_integer(dense, ncols) if p == 0 else rank_mod_p(dense, ncols, p)
 
 
 def test_rank_depends_on_characteristic():
-    rows = [{0: 2}, {1: 2}]
-    assert rank_over(rows, 2, RATIONALS) == 2
-    assert rank_over(rows, 2, GF2) == 0
-    assert rank_over(rows, 2, CoefficientField(3)) == 2
+    # Determinants -2 (2-torsion) and 3 (3-torsion).
+    for dense, ranks in (
+        ([[1, 1], [1, -1]], {0: 2, 2: 1, 3: 2, 5: 2}),
+        ([[1, -1, 0], [0, 1, -1], [1, 1, 1]], {0: 3, 2: 3, 3: 2, 5: 3}),
+    ):
+        ncols = len(dense[0])
+        for p, rank in ranks.items():
+            assert rank_over(signed_rows(dense), ncols, CoefficientField(p)) == rank, (dense, p)
+            assert _dense_rank(dense, ncols, p) == rank
 
 
 def test_rank_rectangular():
-    rows = [{0: 1, 1: 2, 2: 3}, {0: 2, 1: 4, 2: 6}, {1: 1, 2: 1}]
-    assert rank_over(rows, 3, RATIONALS) == 2
-    assert rank_over(rows, 3, CoefficientField(5)) == 2
+    # The second row is the negated first; the third is independent of it.
+    dense = [[1, -1, 0, 1], [-1, 1, 0, -1], [0, 1, 1, -1]]
+    for p in (0, 2, 3, 5):
+        assert rank_over(signed_rows(dense), 4, CoefficientField(p)) == 2
+        assert rank_over(signed_rows([list(c) for c in zip(*dense)]), 3, CoefficientField(p)) == 2
     assert rank_over([], 3, RATIONALS) == 0
-    assert rank_over([{}, {}], 3, GF2) == 0
+    for p in (0, 2, 3):
+        assert rank_over([(0, 0), (0, 0)], 3, CoefficientField(p)) == 0
 
 
 @pytest.mark.parametrize("p", [0, 2, 3, 2**61 - 1])
 def test_rank_over_matches_dense_references(p):
-    # Entries beyond +-1 make non-unit pivots and, over Q, a gcd to divide out;
-    # zero rows, duplicate rows and stored zero entries are mixed in.
+    # Random matrices with entries 0 and +-1, so the dense determinants are
+    # small integers that vanish mod 2 or 3 now and then; elimination makes
+    # non-unit entries and, over Q, a gcd to divide out.  Zero rows and
+    # duplicate rows, negated or not, are mixed in.
     rng = random.Random(20261018 + p)
     field = CoefficientField(p)
+    torsion = 0
     for _ in range(300):
         m, ncols = rng.randint(0, 9), rng.randint(0, 9)
         density = rng.random()
         dense = [
-            [rng.randint(-3, 5) if rng.random() < density else 0 for _ in range(ncols)]
+            [rng.choice((1, -1)) if rng.random() < density else 0 for _ in range(ncols)]
             for _ in range(m)
         ]
         if dense and rng.random() < 0.3:
-            dense.append(list(rng.choice(dense)))
+            dense.append([x * rng.choice((1, -1)) for x in rng.choice(dense)])
         if rng.random() < 0.3:
             dense.insert(rng.randint(0, len(dense)), [0] * ncols)
-        rows = _sparse(dense)
-        zeros = [(i, c) for i, row in enumerate(dense) for c, x in enumerate(row) if not x]
-        if zeros and rng.random() < 0.3:
-            i, c = rng.choice(zeros)
-            rows[i][c] = 0
-        snapshot = [dict(r) for r in rows]
-        expected = rank_integer(dense, ncols) if p == 0 else rank_mod_p(dense, ncols, p)
+        rows = signed_rows(dense)
+        snapshot = list(rows)
+        expected = _dense_rank(dense, ncols, p)
         assert rank_over(rows, ncols, field) == expected, (p, dense)
         assert rows == snapshot  # the input rows are left as they were
+        torsion += expected != rank_integer(dense, ncols)
+    assert (torsion > 0) == (p in (2, 3))
 
 
-def test_rank_over_gf2_bit_rows_past_one_machine_word():
-    # Over F_2 a row is one Python int, so only rows wider than 64 columns
-    # reach multi-word XORs.  Rows are integer combinations of a few sparse
-    # basis rows, so most of them reduce to 0 mod 2 after several steps.
-    rng = random.Random(20261019)
+def _check_wide_rows(p, seed):
+    # Rows over 64 columns wide, so only they reach multi-word bit operations.
+    # Each row is a combination of a few sparse basis rows, reduced mod p and
+    # written with entries 0 and +-1 (residue 2 as -1 mod 3, and mod 2 each 1
+    # with a random sign), so most rows reduce to 0 mod p after several steps.
+    rng = random.Random(seed)
     for _ in range(25):
         ncols = rng.randint(65, 200)
         basis = [
-            [rng.randint(-3, 5) if rng.random() < 0.08 else 0 for _ in range(ncols)]
+            [rng.choice((1, -1)) if rng.random() < 0.08 else 0 for _ in range(ncols)]
             for _ in range(rng.randint(1, 25))
         ]
         basis.append([0] * (ncols - 1) + [1])  # a lone entry in the top column
-        dense = [
-            [sum(c * row[j] for c, row in zip(coefficients, basis)) for j in range(ncols)]
-            for coefficients in (
-                [rng.choice((0, 0, 1, -1, 2, 3)) for _ in basis]
-                for _ in range(rng.randint(1, 40))
-            )
-        ]
-        rows = _sparse(dense)
-        snapshot = [dict(r) for r in rows]
-        assert rank_over(rows, ncols, GF2) == rank_mod_p(dense, ncols, 2), dense
+        dense = []
+        for _ in range(rng.randint(1, 40)):
+            coefficients = [rng.choice((0, 0, 1, -1, 2)) for _ in basis]
+            residues = [
+                sum(c * row[j] for c, row in zip(coefficients, basis)) % p for j in range(ncols)
+            ]
+            row = [x - p if x > 1 else x for x in residues]
+            dense.append([x * rng.choice((1, -1)) for x in row] if p == 2 else row)
+        rows = signed_rows(dense)
+        snapshot = list(rows)
+        assert rank_over(rows, ncols, CoefficientField(p)) == rank_mod_p(dense, ncols, p), dense
         assert rows == snapshot
+
+
+def test_rank_over_gf2_bit_rows_past_one_machine_word():
+    _check_wide_rows(2, 20261019)
+
+
+def test_rank_over_gf3_bit_rows_past_one_machine_word():
+    _check_wide_rows(3, 20261020)
 
 
 def _homology(n, facets, field=RATIONALS):
@@ -634,6 +653,28 @@ def test_table_route_matches_mask_route_on_random_ideals():
     assert checked == 204
 
 
+def test_betti_totals_over_several_fields_equals_one_call_per_field(monkeypatch):
+    # One lattice and one set of complexes, homology once per field, on both
+    # routes.  rp2 has 2-torsion, so its Q and F_2 totals differ.
+    fields = [RATIONALS, GF2, CoefficientField(3), CoefficientField(5)]
+    ideals = [fixture_ideal("rp2"), power(fixture_ideal("mixed6"), 2)]
+    ideals += list(_random_ideals(random.Random(20221), 20, 3, 6, max_vars=6))
+    grids = []
+    grid_table = resolution_engine._grid_table
+    monkeypatch.setattr(
+        resolution_engine, "_grid_table", lambda space: grids.append(1) or grid_table(space)
+    )
+    for ideal in ideals:
+        expected = [betti_table(ideal, field).totals for field in fields]
+        del grids[:]
+        assert betti_totals(ideal, fields) == expected, ideal
+        assert len(grids) == 1
+        if len(ideal.generators) > 1:
+            with _mask_route(ideal):
+                assert betti_totals(ideal, fields) == expected, ideal
+    assert betti_totals(ideals[0], fields)[0] != betti_totals(ideals[0], fields)[1]
+
+
 def test_betti_data_are_invariant_under_relabelling():
     # Permuting the variables is an automorphism of S: it moves each
     # beta_{i,a}(S/I^k) to the permuted multidegree and keeps the totals, so
@@ -827,15 +868,18 @@ def test_taylor_matches_on_powers():
 
 
 def test_taylor_matches_koszul_on_random_ideals_and_powers():
-    # A differential check over Q, F_2 and F_3.  Powers are kept up to 12
-    # generators: the 15- and 16-generator powers of this draw take at most
-    # 0.4 s each over Q and F_2, but 0.8-5.4 s over F_3, which keeps the dict
-    # elimination.  The cap itself is exercised by test_taylor_runs_at_its_generator_cap.
+    # A differential check over Q, F_2 and F_3.  Powers are kept up to 14
+    # generators, so the test takes about as long as it did at 12 when F_3
+    # ranked by dict elimination (0.45-0.48 s on a 2-CPU sandbox).  With
+    # bit-sliced F_3 the 15- and 16-generator powers of this draw take
+    # 0.10-0.63 s per field each (F_3 took 0.8-5.4 s by dict elimination), so
+    # the test would take 3.9 s at the cap; test_taylor_runs_at_its_generator_cap
+    # and test_taylor_over_gf3_at_its_generator_cap exercise the cap instead.
     fields = (RATIONALS, GF2, CoefficientField(3))
     checked = 0
     for ideal in _random_ideals(random.Random(20096), 40, 3, 10):
         for ideal_k in powers(ideal, 4):
-            if len(ideal_k.generators) > 12:
+            if len(ideal_k.generators) > 14:
                 break
             for field in fields:
                 assert taylor_betti(ideal_k, field) == betti_table(ideal_k, field).totals
@@ -875,9 +919,10 @@ def test_taylor_over_several_fields_equals_one_call_per_field():
 def test_taylor_runs_at_its_generator_cap():
     # mixed6^2 has 16 generators, the default cap, so Taylor boundary maps
     # reach 12,870 x 11,440.  A regression alarm, not a benchmark: on a 2-CPU
-    # sandbox this [Q, F_2] call took 0.35-0.55 s with XOR ranks over F_2 and
-    # Q ranks certified from them, and 2.6-2.7 s when every map was ranked
-    # over each field by dict elimination.
+    # sandbox this [Q, F_2] call took 0.35-0.63 s in fresh interpreters (0.30 s
+    # at best in one process) with rows built from numpy as signed bit rows,
+    # 0.33-0.59 s (0.31 s) with one dict per row, and 2.6-2.7 s when every map
+    # was ranked over each field by dict elimination.
     ideal = power(fixture_ideal("mixed6"), 2)
     assert len(ideal.generators) == resolution_engine.DEFAULT_TAYLOR_CAP
     fields = [RATIONALS, GF2]
@@ -885,6 +930,19 @@ def test_taylor_runs_at_its_generator_cap():
     totals = taylor_betti(ideal, fields)
     elapsed = time.perf_counter() - start
     assert totals == [betti_table(ideal, field).totals for field in fields]
+    assert elapsed < 2.0, f"took {elapsed:.2f}s"
+
+
+def test_taylor_over_gf3_at_its_generator_cap():
+    # The same 16 generators over F_3 alone.  A regression alarm, not a
+    # benchmark: on a 2-CPU sandbox this call took 0.42-0.62 s with
+    # bit-sliced F_3 rows, and 1.2-1.8 s by dict elimination.
+    ideal = power(fixture_ideal("mixed6"), 2)
+    field = CoefficientField(3)
+    start = time.perf_counter()
+    totals = taylor_betti(ideal, field)
+    elapsed = time.perf_counter() - start
+    assert totals == betti_table(ideal, field).totals
     assert elapsed < 2.0, f"took {elapsed:.2f}s"
 
 

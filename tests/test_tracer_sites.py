@@ -107,6 +107,27 @@ def test_root_locus_calls_its_traced_layers(monkeypatch):
     assert calls == {"_aberth_sweeps": 1, "_newton_polish": 1}
 
 
+def _counting_rank_over(monkeypatch):
+    # Records (rows, columns, characteristic) per rank_over call, after
+    # checking that the call holds one (plus, minus) pair of ints per row.
+    calls = []
+    original = resolution_engine.rank_over
+
+    def counting(rows, ncols, F):
+        assert all(type(plus) is type(minus) is int for plus, minus in rows)
+        calls.append((len(rows), ncols, F.characteristic))
+        return original(rows, ncols, F)
+
+    monkeypatch.setattr(resolution_engine, "rank_over", counting)
+    return calls
+
+
+def _maps(calls, p):
+    # The s of each d_s ranked over F_p, from its shape C(10, s) x C(10, s - 1).
+    shapes = {(math.comb(10, s), math.comb(10, s - 1)): s for s in range(2, 11)}
+    return [shapes[rows, ncols] for rows, ncols, q in calls if q == p]
+
+
 @pytest.mark.parametrize(
     "field, totals",
     [
@@ -119,24 +140,51 @@ def test_taylor_betti_calls_rank_over_on_full_boundary_maps(monkeypatch, field, 
     # the dense size of each Taylor boundary map, one row per generator subset.
     # Every map is ranked over F_2, also when only Q is asked for: its F_2
     # ranks certify the Q ranks next to a zero mod-2 Betti number.  On rp2
-    # the mod-2 Betti numbers are 1, 10, 15, 7, 1, 0, ..., so only d_2, d_3
-    # and d_4 have nonzero ones on both sides and are ranked over Q.
-    calls = []
-    original = resolution_engine.rank_over
-
-    def counting(rows, ncols, F):
-        calls.append((len(rows) * ncols, F))
-        return original(rows, ncols, F)
-
-    monkeypatch.setattr(resolution_engine, "rank_over", counting)
+    # the mod-2 Betti numbers are 1, 10, 15, 7, 1, 0, ..., so d_2, d_3 and
+    # d_4 have nonzero ones on both sides.  Their certificate reads the F_3
+    # ranks of d_2 to d_5; the mod-3 Betti numbers 1, 10, 15, 6, 0, ...
+    # certify d_4, so only d_2 and d_3 are ranked over Q.
+    calls = _counting_rank_over(monkeypatch)
     assert resolution_engine.taylor_betti(fixture_ideal("rp2"), field) == totals
-    gf2 = [cells for cells, F in calls if F == resolution_engine.GF2]
-    assert len(gf2) == 9
-    assert sum(gf2) == sum(math.comb(10, s) * math.comb(10, s - 1) for s in range(2, 11))
-    assert sum(gf2) == 167950
-    rational = [cells for cells, F in calls if F == resolution_engine.RATIONALS]
+    assert _maps(calls, 2) == list(range(2, 11))
+    assert sum(rows * ncols for rows, ncols, p in calls if p == 2) == 167950
     if field == resolution_engine.GF2:
-        assert rational == []
+        assert len(calls) == 9
     else:
-        assert rational == [math.comb(10, s) * math.comb(10, s - 1) for s in (2, 3, 4)]
-        assert sum(rational) == 31050
+        assert _maps(calls, 3) == [2, 3, 4, 5]
+        assert _maps(calls, 0) == [2, 3]
+        assert sum(rows * ncols for rows, ncols, p in calls if p == 0) == 5850
+        assert len(calls) == 15
+
+
+def test_taylor_betti_ranks_each_map_once_per_field(monkeypatch):
+    # F_3 ranks are kept: asked for beside Q, each map is ranked over F_3
+    # once, and the certificate reads those ranks again.
+    calls = _counting_rank_over(monkeypatch)
+    fields = [resolution_engine.RATIONALS, resolution_engine.CoefficientField(3)]
+    assert resolution_engine.taylor_betti(fixture_ideal("rp2"), fields) == [
+        (1, 10, 15, 6, 0, 0, 0),
+        (1, 10, 15, 6, 0, 0, 0),
+    ]
+    assert _maps(calls, 2) == _maps(calls, 3) == list(range(2, 11))
+    assert _maps(calls, 0) == [2, 3]
+
+
+def test_taylor_betti_ranks_over_q_where_no_mod_3_betti_number_is_zero(monkeypatch):
+    # rp2 has no 3-torsion, so its F_3 ranks equal its Q ranks and a Q rank
+    # taken from F_3 without a certificate would go unseen.  Report the F_3
+    # rank of d_4 one short, as 3-torsion there would: the mod-3 Betti
+    # numbers beside d_4 become 7 and 1, so Q must rank d_4 itself, and the
+    # Q totals stay right.
+    calls = _counting_rank_over(monkeypatch)
+    counting = resolution_engine.rank_over
+
+    def short_d4(rows, ncols, F):
+        rank = counting(rows, ncols, F)
+        return rank - 1 if F.characteristic == 3 and len(rows) == math.comb(10, 4) else rank
+
+    monkeypatch.setattr(resolution_engine, "rank_over", short_d4)
+    totals = resolution_engine.taylor_betti(fixture_ideal("rp2"), resolution_engine.RATIONALS)
+    assert totals == (1, 10, 15, 6, 0, 0, 0)
+    assert _maps(calls, 3) == [2, 3, 4, 5]
+    assert _maps(calls, 0) == [2, 3, 4]
