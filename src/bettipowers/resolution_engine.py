@@ -8,21 +8,22 @@ per cell, to a single exact rank kernel (XOR over F_2, bit-sliced over F_3,
 decoded rows otherwise) and share the vertex order and sign convention.
 
 The engine codes lattice points as mixed-radix keys over the generators'
-distinct values on each axis.  When that key space has at most GRID_CAP
-keys (it is dense), one table over the key grid holds both the lattice and
-the generators' up-closure; otherwise the closure joins points into sorted
-runs.  Both enforce DEFAULT_LATTICE_CAP on the points.  In at most 6
-variables and a dense key space, each point's complex is read as a 2^n-bit
-face code from that table (the table route); otherwise from the generators
-that divide the point (the mask route).  The two routes give the same
-tables, and betti_totals gives the table route's totals without decoding a
-point.
+distinct values on each axis, and closes the lattice once per call.  When
+that key space has at most GRID_CAP keys (it is dense), one table over the
+key grid holds both the lattice and the generators' up-closure; otherwise
+the closure joins points into sorted runs.  Both enforce DEFAULT_LATTICE_CAP
+on the points.  In at most 6 variables and a dense key space, each point's
+complex is read as a 2^n-bit face code from that table (the table route);
+otherwise from the generators that divide the point, compared in ranks read
+off its key (the mask route).  The two routes give the same tables.  Only
+betti_table decodes points, those with homology, in one call.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
@@ -368,8 +369,9 @@ def lcm_lattice(I: MonomialIdeal) -> np.ndarray:
     Returns an (N, n) int64 array with one exponent vector per row, the rows
     in lexicographic order.  Every multidegree with a nonzero Betti number in
     homological index >= 1 lies in this set.  Points are closed as
-    mixed-radix keys (see _KeySpace).  Raises ResourceLimitError beyond
-    DEFAULT_LATTICE_CAP elements, or when an exponent does not fit in int64.
+    mixed-radix keys (see _KeySpace), as the Betti engine closes them.
+    Raises ResourceLimitError beyond DEFAULT_LATTICE_CAP elements, or when an
+    exponent does not fit in int64.
     """
     space = _KeySpace(I.generators)
     return space.decode(_grid_table(space)[0] if space.dense else _join_closure(space))
@@ -464,18 +466,17 @@ def _face_codes(space: _KeySpace, keys: np.ndarray, table: np.ndarray) -> np.nda
 
 
 def _table_cells(
-    space: _KeySpace, characteristics: Sequence[int], decode: bool
-) -> Iterator[tuple[int, list[tuple[int, ...]], list[ExponentVector]]]:
-    # The table route: (points, homology dims per characteristic, their
-    # exponent rows if decode) once per distinct face code with nonzero
-    # homology over some of the characteristics.  The codes are grouped
-    # by one sort, keyed by a stable argsort only when rows are decoded.  Cones
-    # are contractible and stay in numpy; each other distinct code reaches
-    # the homology once, with its maximal faces in ascending order.
+    space: _KeySpace, keys: np.ndarray, table: np.ndarray, characteristics: Sequence[int],
+    keyed: bool,
+) -> Iterator[tuple[int, list[tuple[int, ...]], np.ndarray | None]]:
+    # The table route: (points, homology dims per characteristic, their keys
+    # if keyed) per distinct face code with nonzero homology over some of the
+    # characteristics, grouped by one sort (a stable argsort if keyed).  Cones
+    # are contractible and stay in numpy; each other distinct code reaches the
+    # homology once, with its maximal faces in ascending order.
     n = len(space.radices)
-    keys, table = _grid_table(space)
     codes = _face_codes(space, keys, table)
-    if decode:
+    if keyed:
         order = np.argsort(codes, kind="stable")
         codes, keys = codes[order], keys[order]
     else:
@@ -489,36 +490,30 @@ def _table_cells(
     above = (distinct >> shifts) & without  # bit F of row j: F + j is a face
     cone = (distinct & without & ~above == 0).any(axis=0)
     tops = distinct & ~np.bitwise_or.reduce(above, axis=0)
-    homologous = []
     for lo, hi, top, apex in zip(starts.tolist(), ends.tolist(), tops.tolist(), cone.tolist()):
         if apex:
             continue
         faces = []
         while top:
-            low = top & -top
-            faces.append(low.bit_length() - 1)
-            top ^= low
+            faces.append((top & -top).bit_length() - 1)
+            top &= top - 1
         dims = [_homology_dims_cached(n, tuple(faces), p) for p in characteristics]
         if any(map(any, dims)):
-            homologous.append((lo, hi, dims))
-    rows = []
-    if decode:  # each generator's complex is the empty face alone: homologous is not empty
-        rows = space.decode(np.concatenate([keys[lo:hi] for lo, hi, _ in homologous])).tolist()
-    start = 0
-    for lo, hi, dims in homologous:
-        yield hi - lo, dims, list(map(tuple, rows[start:start + hi - lo]))
-        start += hi - lo
+            yield hi - lo, dims, keys[lo:hi] if keyed else None
 
 
 def _mask_cells(
-    I: MonomialIdeal, characteristics: Sequence[int]
-) -> Iterator[tuple[int, list[tuple[int, ...]], list[ExponentVector]]]:
-    # The mask route: one point of the lcm lattice at a time.
-    lattice = lcm_lattice(I)
-    G = np.array(I.generators, dtype=np.int64)
-    for at, maximal in _upper_koszul_faces(G, lattice):
-        dims = [_homology_dims_cached(I.nvars, maximal, p) for p in characteristics]
-        yield 1, dims, [tuple(lattice[at].tolist())]
+    space: _KeySpace, keys: np.ndarray, characteristics: Sequence[int]
+) -> Iterator[tuple[int, list[tuple[int, ...]], np.ndarray]]:
+    # The mask route: (1, homology dims per characteristic, its key) for each
+    # point with nonzero homology over some of them.  Divisibility is read in
+    # ranks off the keys: ranks keep each axis's order, and every lattice
+    # coordinate is a generator value.
+    ranks = keys[:, None] // space.weights % np.array(space.radices)
+    for at, maximal in _upper_koszul_faces(space.ranks, ranks):
+        dims = [_homology_dims_cached(len(space.radices), maximal, p) for p in characteristics]
+        if any(map(any, dims)):
+            yield 1, dims, keys[at:at + 1]
 
 
 @dataclass(frozen=True)
@@ -545,29 +540,35 @@ def _assemble(
     I: MonomialIdeal, fields: Sequence[CoefficientField], entries: dict | None
 ) -> list[tuple[int, ...]]:
     # The Betti totals of S/I over each field, checked, and each point's
-    # nonzero beta_{i,a} in entries if given, with one field (else the table
-    # route decodes no point).
+    # nonzero beta_{i,a} in entries if given, with one field: the keys of the
+    # points with homology are decoded for entries only, in one call.
     n = I.nvars
     if n > 63:
         raise ResourceLimitError(f"{n} variables exceed the engine's limit of 63")
     space = _KeySpace(I.generators)
     characteristics = [F.characteristic for F in fields]
     if n <= 6 and space.dense:
-        cells = _table_cells(space, characteristics, entries is not None)
+        cells = _table_cells(space, *_grid_table(space), characteristics, entries is not None)
     else:
-        cells = _mask_cells(I, characteristics)
+        keys = _grid_table(space)[0] if space.dense else _join_closure(space)
+        cells = _mask_cells(space, keys, characteristics)
     totals = [[1] + [0] * n for _ in fields]
-    for count, dims_per_field, points in cells:
+    groups = []
+    for count, dims_per_field, keys in cells:
         for total, dims in zip(totals, dims_per_field):
+            if dims[n]:  # homological index n + 1
+                at = "a lattice point" if keys is None else tuple(space.decode(keys)[0].tolist())
+                raise EngineInvariantError(f"homology above the ambient dimension at {at}")
             for i, d in enumerate(dims, start=1):  # homological index: j + 2 for H~_j
                 if d:
-                    if i > n:
-                        at = points[0] if points else "a lattice point"
-                        raise EngineInvariantError(f"homology above the ambient dimension at {at}")
                     total[i] += d * count
-                    if entries is not None:
-                        for a in points:
-                            entries[(i, a)] = d
+        if entries is not None:
+            groups.append((keys, dims_per_field[0]))
+    if entries is not None:  # each generator's complex is the empty face alone: not empty
+        rows = map(tuple, space.decode(np.concatenate([keys for keys, _ in groups])).tolist())
+        for keys, dims in groups:
+            points = list(islice(rows, len(keys)))
+            entries.update(((i, a), d) for i, d in enumerate(dims, start=1) if d for a in points)
     for total in totals:
         if total[1] != len(I.generators):
             raise EngineInvariantError(
@@ -582,11 +583,9 @@ def betti_table(I: MonomialIdeal, F: CoefficientField = RATIONALS) -> BettiTable
     """Betti table of S/I assembled from upper Koszul homology on the lcm lattice.
 
     beta_{i,a}(S/I) = dim H~_{i-2}(K^a(I)) for i >= 1, plus beta_0 = 1 in
-    multidegree zero.  Ideals in at most 6 variables whose key space is dense
-    (see _KeySpace) read their complexes from tables over the key grid; all
-    others from the generators that divide each lattice point.  Internal
-    consistency (beta_1 = generator count, Euler alternating sum zero) is
-    asserted on the result.
+    multidegree zero, on the table or the mask route (see the module
+    docstring).  Internal consistency (beta_1 = generator count, Euler
+    alternating sum zero) is asserted on the result.
     """
     entries: dict[tuple[int, ExponentVector], int] = {(0, (0,) * I.nvars): 1}
     totals = _assemble(I, [F], entries)[0]
@@ -598,8 +597,8 @@ def betti_totals(
 ) -> Union[tuple[int, ...], list[tuple[int, ...]]]:
     """betti_table(I, F).totals, with the same checks, without the multidegrees.
 
-    On the table route each distinct face code adds its homology dims times
-    its number of points, and no point is decoded.  Given a sequence of
+    No point is decoded; on the table route each distinct face code adds its
+    homology dims times its number of points.  Given a sequence of
     fields, returns one totals tuple per field from one lattice and one set
     of complexes; only the homology runs once per field.
     """

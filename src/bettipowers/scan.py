@@ -190,20 +190,13 @@ def _report_findings(report: VerdictReport, record: ScanRecord) -> list[dict]:
     ]
 
 
-def _copied(tree):
-    # A JSON tree with a fresh dict, list or tuple at every level.
-    if isinstance(tree, dict):
-        return {k: _copied(v) for k, v in tree.items()}
-    if isinstance(tree, (list, tuple)):
-        return type(tree)(map(_copied, tree))
-    return tree
-
-
 def _reindexed(record: ScanRecord, index: int, generators: tuple) -> ScanRecord:
     """record's outcome as the record of index and generators, sharing
     nothing mutable with it."""
     start = time.perf_counter()
-    profile, verdicts, findings = _copied((record.profile, record.verdicts, record.findings))
+    # Records are JSON trees, so a JSON round trip copies them whole.
+    outcome = json.dumps([record.profile, record.verdicts, record.findings])
+    profile, verdicts, findings = json.loads(outcome)
     for finding in findings:
         finding["index"] = index
         finding["generators"] = [list(g) for g in generators]

@@ -161,10 +161,8 @@ def _initial_points(
         angles = [2.0 * math.pi * j / m + 0.7 / m for j in range(m)]
         pts = [radii[j] * complex(math.cos(a), math.sin(a)) for j, a in enumerate(angles)]
         return np.array(pts, dtype=complex), [], []
-    n_real = 1 if m == 1 else (2 if m % 2 == 0 else 3)
-    points: list[complex] = [complex(-radii[-1])]
-    if n_real >= 2:
-        points.append(complex(radii[0]))
+    n_real = 2 if m % 2 == 0 else 3  # m >= 3: lower degrees are never swept
+    points: list[complex] = [complex(-radii[-1]), complex(radii[0])]
     if n_real == 3:
         # Factor 0.5 keeps this slot distinct from the escape slot when all
         # radii coincide; identical starting points share identical dynamics

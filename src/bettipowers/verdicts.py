@@ -43,12 +43,6 @@ class VerdictReport:
     ideal: str
     entries: tuple[VerdictEntry, ...]
 
-    def entry(self, statement: str) -> VerdictEntry:
-        for e in self.entries:
-            if e.statement == statement:
-                return e
-        raise KeyError(statement)
-
     def statuses(self) -> dict[str, str]:
         return {e.statement: e.status for e in self.entries}
 

@@ -4,6 +4,7 @@ import functools
 import math
 import operator
 import random
+import re
 import time
 import tracemalloc
 
@@ -17,6 +18,7 @@ from bettipowers.resolution_engine import (
     GF2,
     RATIONALS,
     CoefficientField,
+    EngineInvariantError,
     ResourceLimitError,
     _homology_dims_cached,
     _maximal_masks,
@@ -259,6 +261,11 @@ def test_lcm_lattice_matches_reference_on_fixtures():
         ideal = fixture_ideal(path.stem)
         for k in (1, 2, 3):
             _assert_lattice_matches_reference(power(ideal, k))
+
+
+def _seven_cycle():
+    # The edge ideal of the 7-cycle: 7 variables, so the mask route.
+    return parse_ideal("vars: a b c d e f g; gens: a*b, b*c, c*d, d*e, e*f, f*g, g*a")
 
 
 def _random_ideals(rng, count, max_exp, max_gens, max_vars=5):
@@ -655,9 +662,10 @@ def test_table_route_matches_mask_route_on_random_ideals():
 
 def test_betti_totals_over_several_fields_equals_one_call_per_field(monkeypatch):
     # One lattice and one set of complexes, homology once per field, on both
-    # routes.  rp2 has 2-torsion, so its Q and F_2 totals differ.
+    # routes; the powers of C7 take the mask route even with a dense key
+    # space.  rp2 has 2-torsion, so its Q and F_2 totals differ.
     fields = [RATIONALS, GF2, CoefficientField(3), CoefficientField(5)]
-    ideals = [fixture_ideal("rp2"), power(fixture_ideal("mixed6"), 2)]
+    ideals = [fixture_ideal("rp2"), power(fixture_ideal("mixed6"), 2), *powers(_seven_cycle(), 3)]
     ideals += list(_random_ideals(random.Random(20221), 20, 3, 6, max_vars=6))
     grids = []
     grid_table = resolution_engine._grid_table
@@ -673,6 +681,64 @@ def test_betti_totals_over_several_fields_equals_one_call_per_field(monkeypatch)
             with _mask_route(ideal):
                 assert betti_totals(ideal, fields) == expected, ideal
     assert betti_totals(ideals[0], fields)[0] != betti_totals(ideals[0], fields)[1]
+
+
+def test_each_betti_call_closes_one_lattice_and_decodes_only_tables(monkeypatch):
+    # On both routes a call builds one key space and closes its lattice once,
+    # and the route classifies those keys.  betti_table decodes the points
+    # with homology in one call; betti_totals decodes none.
+    calls = {}
+    space = resolution_engine._KeySpace
+    targets = [(space, "__init__"), (space, "decode")]
+    targets += [(resolution_engine, a) for a in ("_grid_table", "_join_closure", "lcm_lattice")]
+    for owner, attr in targets:
+        original = getattr(owner, attr)
+
+        def counting(*args, _attr=attr, _original=original):
+            calls[_attr] = calls.get(_attr, 0) + 1
+            return _original(*args)
+
+        monkeypatch.setattr(owner, attr, counting)
+    rp2 = fixture_ideal("rp2")
+    routes = [
+        (power(fixture_ideal("mixed6"), 2), "_grid_table", contextlib.nullcontext()),  # table
+        (power(_seven_cycle(), 2), "_grid_table", contextlib.nullcontext()),  # mask
+        (rp2, "_join_closure", _mask_route(rp2)),  # mask, a key space that is not dense
+    ]
+    for ideal, closure, route in routes:
+        with route:
+            for call, field, decodes in (
+                (betti_table, GF2, {"decode": 1}),
+                (betti_totals, GF2, {}),
+                (betti_totals, [RATIONALS, GF2], {}),
+            ):
+                calls.clear()
+                call(ideal, field)
+                assert calls == {"__init__": 1, closure: 1, **decodes}, (ideal, call)
+
+
+def test_homology_above_the_ambient_dimension_names_its_multidegree(monkeypatch):
+    # An invariant failure, made by adding a class in homological index n + 1
+    # to every complex with a reduced H~_0.  The mask route names the first
+    # such point in key order from betti_table and betti_totals alike; the
+    # table route's totals decode no point.
+    homology = resolution_engine._homology_dims_cached
+
+    def above(n, faces, p):
+        dims = homology(n, faces, p)
+        return dims[:-1] + (1,) if dims[1] else dims
+
+    monkeypatch.setattr(resolution_engine, "_homology_dims_cached", above)
+    mixed6 = fixture_ideal("mixed6")
+    for call, ideal, at in (
+        (betti_table, _seven_cycle(), "(0, 0, 0, 0, 1, 1, 1)"),
+        (betti_totals, _seven_cycle(), "(0, 0, 0, 0, 1, 1, 1)"),
+        (betti_table, mixed6, "(1, 6, 0, 0, 0, 0)"),
+        (betti_totals, mixed6, "a lattice point"),
+    ):
+        message = f"homology above the ambient dimension at {at}"
+        with pytest.raises(EngineInvariantError, match=re.escape(message) + "$"):
+            call(ideal)
 
 
 def test_betti_data_are_invariant_under_relabelling():
@@ -806,6 +872,11 @@ def test_euler_characteristics_match_k_polynomial_on_fixtures():
         ideal = fixture_ideal(name)
         for k in range(1, kmax + 1):
             _assert_euler_characteristics_match_k_polynomial(power(ideal, k), RATIONALS)
+    # C7's powers take the mask route; its square and cube, with 28 and 84
+    # generators, are past the Taylor cap.
+    for ideal_k in powers(_seven_cycle(), 3):
+        for field in (RATIONALS, GF2, CoefficientField(3)):
+            _assert_euler_characteristics_match_k_polynomial(ideal_k, field)
 
 
 def test_euler_characteristics_match_k_polynomial_on_random_ideals():
@@ -875,9 +946,10 @@ def test_taylor_matches_koszul_on_random_ideals_and_powers():
     # 0.10-0.63 s per field each (F_3 took 0.8-5.4 s by dict elimination), so
     # the test would take 3.9 s at the cap; test_taylor_runs_at_its_generator_cap
     # and test_taylor_over_gf3_at_its_generator_cap exercise the cap instead.
+    # C7 comes first: in 7 variables the engine takes the mask route.
     fields = (RATIONALS, GF2, CoefficientField(3))
     checked = 0
-    for ideal in _random_ideals(random.Random(20096), 40, 3, 10):
+    for ideal in [_seven_cycle(), *_random_ideals(random.Random(20096), 40, 3, 10)]:
         for ideal_k in powers(ideal, 4):
             if len(ideal_k.generators) > 14:
                 break

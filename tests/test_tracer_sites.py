@@ -51,11 +51,10 @@ def test_every_name_the_benchmark_imports_exists():
 
 
 def test_betti_table_calls_its_traced_layers(monkeypatch):
-    # betti_table closes the lattice once.  The table route (at most 6
-    # variables, dense key space) reads it from _grid_table directly, so the
-    # traced lcm_lattice reads 0 there.  The mask route calls lcm_lattice,
-    # which closes a dense key space with _grid_table and any other with
-    # _join_closure.
+    # betti_table closes the lattice once, with _grid_table when the key
+    # space is dense and _join_closure otherwise, and hands its keys to the
+    # route that classifies them.  Neither route calls lcm_lattice, so the
+    # traced lcm_lattice reads 0 on every input.
     calls = dict.fromkeys(
         ("_grid_table", "_join_closure", "lcm_lattice", "_homology_dims_cached"), 0
     )
@@ -75,8 +74,8 @@ def test_betti_table_calls_its_traced_layers(monkeypatch):
     calls.update(dict.fromkeys(calls, 0))
     seven = parse_ideal("vars: a b c d e f g; gens: a*b, c*d, e*f*g")
     assert resolution_engine.betti_table(seven).totals == (1, 3, 3, 1, 0, 0, 0, 0)
-    assert calls["_grid_table"] == calls["lcm_lattice"] == 1
-    assert calls["_join_closure"] == 0
+    assert calls["_grid_table"] == 1
+    assert calls["_join_closure"] == calls["lcm_lattice"] == 0
     assert calls["_homology_dims_cached"] > 0
     # A lattice cap and a grid bound at the lattice size (6 points) are below
     # the radix product (9), so the key space is not dense and the mask route
@@ -85,8 +84,8 @@ def test_betti_table_calls_its_traced_layers(monkeypatch):
     monkeypatch.setattr(resolution_engine, "GRID_CAP", 6)
     calls.update(dict.fromkeys(calls, 0))
     assert resolution_engine.betti_table(ideal).totals == (1, 3, 2)
-    assert calls["_join_closure"] == calls["lcm_lattice"] == 1
-    assert calls["_grid_table"] == 0
+    assert calls["_join_closure"] == 1
+    assert calls["_grid_table"] == calls["lcm_lattice"] == 0
     assert len(resolution_engine.lcm_lattice(ideal)) == 6
 
 

@@ -196,6 +196,14 @@ def test_corollary_last_principal_trivial():
     assert "reason" in entry.witness
 
 
+def _entry(report, statement):
+    # The report's entry for one statement.
+    for e in report.entries:
+        if e.statement == statement:
+            return e
+    raise KeyError(statement)
+
+
 def test_full_report_statuses_and_lookup():
     _, series, profile = _pipeline("msquare2", 6)
     report = full_report(series, profile)
@@ -206,15 +214,15 @@ def test_full_report_statuses_and_lookup():
         EULER: HOLDS,
         ARTINIAN_SPREAD: HOLDS,
     }
-    assert report.entry(EULER).witness["row"] == list(series.rows[-1])
+    assert _entry(report, EULER).witness["row"] == list(series.rows[-1])
     with pytest.raises(KeyError):
-        report.entry("no-such-statement")
+        _entry(report, "no-such-statement")
 
 
 def test_full_report_witnesses_replay():
     _, series, profile = _pipeline("maximal3", 6)
     report = full_report(series, profile)
-    witness = report.entry(CONJECTURE).witness
+    witness = _entry(report, CONJECTURE).witness
     k1 = profile.multiplicities[0]
     ratios = [Fraction(ki, k1) for ki in profile.multiplicities]
     bounds = [comb(profile.bigK - 1, i - 1) for i in range(1, profile.bigK + 1)]
@@ -226,7 +234,7 @@ def test_full_report_witnesses_replay():
     assert witness["bounds"] == bounds
     # Applicability of the log-concavity statement is inherited from the
     # equality-case preconditions.
-    assert report.entry(LOG_CONCAVITY).witness["applicable"] is True
+    assert _entry(report, LOG_CONCAVITY).witness["applicable"] is True
 
 
 def test_report_json_serializable():
