@@ -81,10 +81,6 @@ class KodiyalamProfile:
     multiplicities: tuple[int, ...]
     column_thresholds: tuple[int, ...]
 
-    @property
-    def nvars(self) -> int:
-        return len(self.polynomials) - 1
-
 
 def betti_series(
     I: MonomialIdeal, kmax: int, F: CoefficientField = RATIONALS

@@ -119,15 +119,6 @@ class RationalPolynomial:
     def __sub__(self, other: "RationalPolynomial") -> "RationalPolynomial":
         return self + (-other)
 
-    def __mul__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        if self.is_zero or other.is_zero:
-            return RationalPolynomial.zero()
-        out = [Fraction(0)] * (len(self.coefficients) + len(other.coefficients) - 1)
-        for i, a in enumerate(self.coefficients):
-            for j, b in enumerate(other.coefficients):
-                out[i + j] += a * b
-        return RationalPolynomial.from_coefficients(out)
-
     def scale(self, c: Scalar) -> "RationalPolynomial":
         c = Fraction(c)
         if c == 0:

@@ -12,18 +12,23 @@ distinct values on each axis, and closes the lattice once per call.  When
 that key space has at most GRID_CAP keys (it is dense), one table over the
 key grid holds both the lattice and the generators' up-closure; otherwise
 the closure joins points into sorted runs.  Both enforce DEFAULT_LATTICE_CAP
-on the points.  In at most 6 variables and a dense key space, each point's
-complex is read as a 2^n-bit face code from that table (the table route);
-otherwise from the generators that divide the point, compared in ranks read
-off its key (the mask route).  The two routes give the same tables.  Only
+on the points.  Two routes only classify the points' complexes by their
+maximal faces: in at most 6 variables and a dense key space, from a 2^n-bit
+face code per point read from that table, one group per distinct code (the
+table route); otherwise from the generators that divide each point,
+compared in ranks read off its key (the mask route).  One downstream skips
+cones, runs the homology once per field and complex, and adds the totals;
+the homology lists the faces of the complex or of the nerve of its maximal
+faces, whichever is fewer.  The two routes give the same tables.  Only
 betti_table decodes points, those with homology, in one call.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import islice
+from operator import and_
 from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
@@ -110,9 +115,10 @@ def rank_over(rows: Sequence[tuple[int, int]], ncols: int, F: CoefficientField) 
     are the bit planes of 1 and 2, pivots lead with 1, and a row adds a pivot
     or its negation (planes swapped) in seven bit operations (Boothby-Bradshaw
     bit-slicing).  Otherwise a row is decoded to {column: entry}, led by its
-    lowest column, r <- a*r - b*top, mod p over F_p, and over Q divided by
-    the gcd of its entries.  ncols serves perfbench/tracer.py, which reads
-    len(rows) * ncols.
+    lowest column, and r <- a*r - b*top clears that column, with b/a the
+    ratio of the leading entries in lowest terms; then the entries are
+    reduced mod p over F_p, and over Q divided by their gcd.  ncols serves
+    perfbench/tracer.py, which reads len(rows) * ncols.
     """
     p = F.characteristic
     if p == 2:
@@ -154,27 +160,19 @@ def rank_over(rows: Sequence[tuple[int, int]], ncols: int, F: CoefficientField) 
             if top is None:
                 pivots[low] = r
                 break
-            a, b = top[low], r[low]
-            if p:
-                if a != 1:
-                    r = {c: x * a % p for c, x in r.items()}
-                for c, x in top.items():
-                    y = (r.get(c, 0) - b * x) % p
-                    if y:
-                        r[c] = y
-                    else:
-                        del r[c]
-            else:
-                g = math.gcd(a, b)
-                a, b = a // g, b // g
-                if a != 1:
-                    r = {c: x * a for c, x in r.items()}
-                for c, x in top.items():
-                    y = r.get(c, 0) - b * x
-                    if y:
-                        r[c] = y
-                    else:
-                        del r[c]
+            g = math.gcd(top[low], r[low])
+            a, b = top[low] // g, r[low] // g
+            if a != 1:
+                r = {c: x * a % p if p else x * a for c, x in r.items()}
+            for c, x in top.items():
+                y = r.get(c, 0) - b * x
+                if p:
+                    y %= p
+                if y:
+                    r[c] = y
+                else:
+                    del r[c]
+            if not p:
                 g = math.gcd(*r.values())
                 if g > 1:
                     r = {c: x // g for c, x in r.items()}
@@ -198,21 +196,31 @@ def _homology_dims_cached(
     # maximal faces, indexed by j+1 for j = -1..n-1.  Boundary matrices use
     # d[v_0 < ... < v_j] = sum_t (-1)^t [.. v_t omitted ..].  The augmentation
     # C_{-1} = K is always present, so the void complex has H~_{-1} = K.
+    # Listing the faces below a maximal face F takes 2^|F| steps.  When no F
+    # is empty, the nerve (vertex i for the i-th F; its faces are the subsets
+    # of some M_v, the F through vertex v) has the same reduced homology, as
+    # an intersection of simplices is a simplex or empty (the nerve lemma), so
+    # it is listed instead when sum_v 2^|M_v| is below sum_F 2^|F|.
     F = CoefficientField(characteristic)
+    vertices, tops = n, maximal_faces
+    if all(maximal_faces):
+        through = [sum(1 << i for i, M in enumerate(maximal_faces) if M >> v & 1) for v in range(n)]
+        if sum(1 << M.bit_count() for M in through) < sum(1 << M.bit_count() for M in tops):
+            vertices, tops = len(maximal_faces), through
     faces: set[int] = set()
-    for M in maximal_faces:
+    for M in tops:
         sub = M
         while sub:  # every nonempty face below M
             faces.add(sub)
             sub = (sub - 1) & M
-    faces_by_dim: list[list[int]] = [[] for _ in range(n)]
+    faces_by_dim: list[list[int]] = [[] for _ in range(vertices)]
     for f in sorted(faces):
-        faces_by_dim[bin(f).count("1") - 1].append(f)
-    # rank[j+1] is the rank of the boundary map out of C_j for j = -1..n: a
-    # vertex maps onto the empty face, and C_{-1} and C_n map to zero.
-    rank = [0] * (n + 2)
+        faces_by_dim[f.bit_count() - 1].append(f)
+    # rank[j+1] is the rank of the boundary map out of C_j for j = -1..vertices:
+    # a vertex maps onto the empty face, and the ends map to zero.
+    rank = [0] * (vertices + 2)
     rank[1] = 1 if faces else 0
-    for j in range(1, n):
+    for j in range(1, vertices):
         upper = faces_by_dim[j]
         if not upper:
             break
@@ -227,7 +235,8 @@ def _homology_dims_cached(
             columns.append(tuple(signed))
         rank[j + 1] = rank_over(columns, len(lower), F)
     counts = [1] + [len(fs) for fs in faces_by_dim]
-    return tuple(counts[i] - rank[i] - rank[i + 1] for i in range(n + 1))
+    dims = tuple(counts[i] - rank[i] - rank[i + 1] for i in range(vertices + 1))
+    return (dims + (0,) * n)[: n + 1]
 
 
 class _KeySpace:
@@ -363,6 +372,11 @@ def _join_closure(space: _KeySpace) -> np.ndarray:
     return keys
 
 
+def _closure(space: _KeySpace) -> tuple[np.ndarray, np.ndarray | None]:
+    # The sorted keys of the lattice, and the grid table if the space is dense.
+    return _grid_table(space) if space.dense else (_join_closure(space), None)
+
+
 def lcm_lattice(I: MonomialIdeal) -> np.ndarray:
     """Join-closure of the generators under componentwise max.
 
@@ -374,7 +388,7 @@ def lcm_lattice(I: MonomialIdeal) -> np.ndarray:
     exponent does not fit in int64.
     """
     space = _KeySpace(I.generators)
-    return space.decode(_grid_table(space)[0] if space.dense else _join_closure(space))
+    return space.decode(_closure(space)[0])
 
 
 def _upper_koszul_faces(
@@ -466,14 +480,11 @@ def _face_codes(space: _KeySpace, keys: np.ndarray, table: np.ndarray) -> np.nda
 
 
 def _table_cells(
-    space: _KeySpace, keys: np.ndarray, table: np.ndarray, characteristics: Sequence[int],
-    keyed: bool,
-) -> Iterator[tuple[int, list[tuple[int, ...]], np.ndarray | None]]:
-    # The table route: (points, homology dims per characteristic, their keys
-    # if keyed) per distinct face code with nonzero homology over some of the
-    # characteristics, grouped by one sort (a stable argsort if keyed).  Cones
-    # are contractible and stay in numpy; each other distinct code reaches the
-    # homology once, with its maximal faces in ascending order.
+    space: _KeySpace, keys: np.ndarray, table: np.ndarray, keyed: bool
+) -> Iterator[tuple[int, tuple[int, ...], np.ndarray | None]]:
+    # The table route: (points, maximal faces in ascending order, their keys
+    # if keyed) per distinct face code, grouped by one sort (a stable argsort
+    # if keyed).
     n = len(space.radices)
     codes = _face_codes(space, keys, table)
     if keyed:
@@ -484,36 +495,16 @@ def _table_cells(
     starts = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))
     ends = np.append(starts[1:], len(codes))
     distinct = codes[starts]
-    # A complex is a cone over j when F + j is a face for every face F
-    # without j, and F is a maximal face when no F + j is a face.
+    # F is a maximal face when no F + j is a face.
     _, _, _, without, shifts = _subset_tables(n)
     above = (distinct >> shifts) & without  # bit F of row j: F + j is a face
-    cone = (distinct & without & ~above == 0).any(axis=0)
     tops = distinct & ~np.bitwise_or.reduce(above, axis=0)
-    for lo, hi, top, apex in zip(starts.tolist(), ends.tolist(), tops.tolist(), cone.tolist()):
-        if apex:
-            continue
+    for lo, hi, top in zip(starts.tolist(), ends.tolist(), tops.tolist()):
         faces = []
         while top:
             faces.append((top & -top).bit_length() - 1)
             top &= top - 1
-        dims = [_homology_dims_cached(n, tuple(faces), p) for p in characteristics]
-        if any(map(any, dims)):
-            yield hi - lo, dims, keys[lo:hi] if keyed else None
-
-
-def _mask_cells(
-    space: _KeySpace, keys: np.ndarray, characteristics: Sequence[int]
-) -> Iterator[tuple[int, list[tuple[int, ...]], np.ndarray]]:
-    # The mask route: (1, homology dims per characteristic, its key) for each
-    # point with nonzero homology over some of them.  Divisibility is read in
-    # ranks off the keys: ranks keep each axis's order, and every lattice
-    # coordinate is a generator value.
-    ranks = keys[:, None] // space.weights % np.array(space.radices)
-    for at, maximal in _upper_koszul_faces(space.ranks, ranks):
-        dims = [_homology_dims_cached(len(space.radices), maximal, p) for p in characteristics]
-        if any(map(any, dims)):
-            yield 1, dims, keys[at:at + 1]
+        yield hi - lo, tuple(faces), keys[lo:hi] if keyed else None
 
 
 @dataclass(frozen=True)
@@ -540,34 +531,43 @@ def _assemble(
     I: MonomialIdeal, fields: Sequence[CoefficientField], entries: dict | None
 ) -> list[tuple[int, ...]]:
     # The Betti totals of S/I over each field, checked, and each point's
-    # nonzero beta_{i,a} in entries if given, with one field: the keys of the
-    # points with homology are decoded for entries only, in one call.
+    # nonzero beta_{i,a} in entries if given, with one field.  Either route
+    # yields (points, maximal faces, their keys or None) per complex; a cone
+    # (a vertex in every maximal face) is contractible.  The keys of points
+    # with homology are decoded for entries only, in one call.
     n = I.nvars
     if n > 63:
         raise ResourceLimitError(f"{n} variables exceed the engine's limit of 63")
     space = _KeySpace(I.generators)
-    characteristics = [F.characteristic for F in fields]
-    if n <= 6 and space.dense:
-        cells = _table_cells(space, *_grid_table(space), characteristics, entries is not None)
-    else:
-        keys = _grid_table(space)[0] if space.dense else _join_closure(space)
-        cells = _mask_cells(space, keys, characteristics)
+    keys, table = _closure(space)
+    if n <= 6 and table is not None:
+        cells = _table_cells(space, keys, table, entries is not None)
+    else:  # the mask route: divisibility in ranks read off the keys
+        ranks = keys[:, None] // space.weights % np.array(space.radices)
+        cells = (
+            (1, faces, keys[at:at + 1]) for at, faces in _upper_koszul_faces(space.ranks, ranks)
+        )
     totals = [[1] + [0] * n for _ in fields]
     groups = []
-    for count, dims_per_field, keys in cells:
+    for count, faces, group in cells:
+        if reduce(and_, faces):  # a cone
+            continue
+        dims_per_field = [_homology_dims_cached(n, faces, F.characteristic) for F in fields]
+        if not any(map(any, dims_per_field)):
+            continue
         for total, dims in zip(totals, dims_per_field):
             if dims[n]:  # homological index n + 1
-                at = "a lattice point" if keys is None else tuple(space.decode(keys)[0].tolist())
+                at = "a lattice point" if group is None else tuple(space.decode(group)[0].tolist())
                 raise EngineInvariantError(f"homology above the ambient dimension at {at}")
             for i, d in enumerate(dims, start=1):  # homological index: j + 2 for H~_j
                 if d:
                     total[i] += d * count
         if entries is not None:
-            groups.append((keys, dims_per_field[0]))
+            groups.append((group, dims_per_field[0]))
     if entries is not None:  # each generator's complex is the empty face alone: not empty
-        rows = map(tuple, space.decode(np.concatenate([keys for keys, _ in groups])).tolist())
-        for keys, dims in groups:
-            points = list(islice(rows, len(keys)))
+        rows = map(tuple, space.decode(np.concatenate([group for group, _ in groups])).tolist())
+        for group, dims in groups:
+            points = list(islice(rows, len(group)))
             entries.update(((i, a), d) for i, d in enumerate(dims, start=1) if d for a in points)
     for total in totals:
         if total[1] != len(I.generators):

@@ -143,13 +143,15 @@ def _record_ideal(params: ScanParameters, index: int) -> MonomialIdeal:
     return random_ideal(random.Random(params.seed * RECORD_SEED_STRIDE + index), params)
 
 
-def scan_record(params: ScanParameters, index: int) -> ScanRecord:
-    """Compute one fully deterministic record for (params.seed, index)."""
-    return _scan_record(params, index, _record_ideal(params, index))
+def scan_record(
+    params: ScanParameters, index: int, ideal: Optional[MonomialIdeal] = None
+) -> ScanRecord:
+    """Compute one fully deterministic record for (params.seed, index).
 
-
-def _scan_record(params: ScanParameters, index: int, ideal: MonomialIdeal) -> ScanRecord:
-    # The record of index, whose ideal _record_ideal has drawn.
+    ideal, if given, is the ideal of that record, already drawn.
+    """
+    if ideal is None:
+        ideal = _record_ideal(params, index)
     kmax = params.kmax if params.kmax is not None else default_kmax(ideal)
     record = ScanRecord(
         index=index,
@@ -230,7 +232,7 @@ def run_scan(params: ScanParameters) -> Iterator[ScanRecord]:
         if first is not None:
             yield _reindexed(first, index, ideal.generators)
             continue
-        record = _scan_record(params, index, ideal)
+        record = scan_record(params, index, ideal)
         if len(memo) < SCAN_MEMO_CAP:
             kept = _reindexed(record, index, ideal.generators)
             if memo.setdefault(key, kept).profile["status"] == "error":

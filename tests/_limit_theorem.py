@@ -15,6 +15,8 @@ from bettipowers.asymptotics import KodiyalamProfile
 from bettipowers.polynomials import RationalPolynomial
 from bettipowers.spectra import RootLocus, betti_polynomial_at, find_roots, root_locus
 
+from _polynomial_product import multiply
+
 
 def limit_polynomial(profile: KodiyalamProfile) -> RationalPolynomial:
     """The limit polynomial sum_i k_i t^(apd-i) that governs root convergence.
@@ -40,9 +42,9 @@ def limit_root_multiset(profile: KodiyalamProfile) -> list[complex]:
     zeros = profile.apd - profile.bigK
     reduced = RationalPolynomial.from_coefficients(poly.coefficients[zeros:])
     binomial = RationalPolynomial.from_coefficients([1, 1])
-    power_form = RationalPolynomial.constant(profile.multiplicities[0])
-    for _ in range(profile.bigK - 1):
-        power_form = power_form * binomial
+    power_form = multiply(
+        RationalPolynomial.constant(profile.multiplicities[0]), *[binomial] * (profile.bigK - 1)
+    )
     if reduced == power_form:
         rest = [complex(-1.0)] * (profile.bigK - 1)
     else:

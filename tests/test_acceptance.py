@@ -239,13 +239,14 @@ def test_socle_identity_on_artinian_powers(capsys):
 
 def test_property_suite_and_deterministic_scan(tmp_path, capsys):
     for name in KMAX:
-        _, profile = _profile(name)
+        series, profile = _profile(name)
+        n = series.nvars
         degs = [p.degree for p in profile.polynomials]
-        for i in range(1, profile.nvars):
+        for i in range(1, n):
             assert degs[i] >= degs[i + 1], (name, degs)
         assert all(isinstance(m, int) and m > 0 for m in profile.multiplicities), name
         if name in ARTINIAN:
-            assert profile.bigK == profile.nvars, (name, profile.bigK)
+            assert profile.bigK == n, (name, profile.bigK)
     # The squarefree exponent box is the scan regime whose whole population
     # satisfies every checked inequality (tests/test_scan.py verifies that
     # exhaustively), so zero findings is a fact about the class rather than

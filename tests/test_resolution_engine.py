@@ -5,6 +5,7 @@ import math
 import operator
 import random
 import re
+import signal
 import time
 import tracemalloc
 
@@ -33,6 +34,7 @@ from bettipowers.resolution_engine import (
 from _dense_rank import rank_integer, rank_mod_p, signed_rows
 from _face_code_reference import face_codes_reference
 from _fixtures import FIXTURE_DIR, fixture_ideal
+from _homology_reference import homology_reference, nerve_is_cheaper
 from _kpolynomial import euler_characteristics, k_polynomial
 from _lattice_reference import lcm_lattice_reference
 from _taylor_reference import taylor_betti_reference
@@ -86,12 +88,13 @@ def test_rank_rectangular():
         assert rank_over([(0, 0), (0, 0)], 3, CoefficientField(p)) == 0
 
 
-@pytest.mark.parametrize("p", [0, 2, 3, 2**61 - 1])
+@pytest.mark.parametrize("p", [0, 2, 3, 5, 7, 2**61 - 1])
 def test_rank_over_matches_dense_references(p):
     # Random matrices with entries 0 and +-1, so the dense determinants are
-    # small integers that vanish mod 2 or 3 now and then; elimination makes
-    # non-unit entries and, over Q, a gcd to divide out.  Zero rows and
-    # duplicate rows, negated or not, are mixed in.
+    # small integers that vanish mod 2, 3, 5 or 7 now and then; elimination
+    # makes non-unit entries and, over Q, a gcd to divide out.  Q and F_p for
+    # p >= 5 share one dict elimination.  Zero rows and duplicate rows,
+    # negated or not, are mixed in.
     rng = random.Random(20261018 + p)
     field = CoefficientField(p)
     torsion = 0
@@ -112,7 +115,7 @@ def test_rank_over_matches_dense_references(p):
         assert rank_over(rows, ncols, field) == expected, (p, dense)
         assert rows == snapshot  # the input rows are left as they were
         torsion += expected != rank_integer(dense, ncols)
-    assert (torsion > 0) == (p in (2, 3))
+    assert (torsion > 0) == (p in (2, 3, 5, 7))
 
 
 def _check_wide_rows(p, seed):
@@ -188,6 +191,83 @@ def test_homology_of_projective_plane_triangulation():
     over_2 = _homology(6, facets, GF2)
     assert over_q[2] == 0 and over_q[3] == 0
     assert over_2[2] == 1 and over_2[3] == 1
+
+
+def test_homology_matches_the_face_listing_reference_on_fixture_powers(monkeypatch):
+    # Every complex the engine hands to homology on the fixtures' powers up
+    # to k = 2 and on C7's (the mask route), over Q, F_2 and F_3.  The engine
+    # lists the nerve of the maximal faces where that is cheaper; the
+    # reference lists every face.
+    homology = resolution_engine._homology_dims_cached
+    seen = set()
+    monkeypatch.setattr(
+        resolution_engine, "_homology_dims_cached",
+        lambda n, faces, p: seen.add((n, faces)) or homology(n, faces, p),
+    )
+    ideals = [_seven_cycle(), power(_seven_cycle(), 2)]
+    for path in sorted(FIXTURE_DIR.glob("*.ideal")):
+        ideals += powers(fixture_ideal(path.stem), 2)
+    for ideal in ideals:
+        betti_totals(ideal)
+    for n, faces in seen:
+        for p in (0, 2, 3):
+            assert homology(n, faces, p) == homology_reference(n, faces, p), (n, faces, p)
+    nerves = sum(nerve_is_cheaper(n, faces) for n, faces in seen)
+    assert (len(seen), nerves) == (436, 50)
+
+
+def test_homology_matches_the_face_listing_reference_on_random_complexes():
+    # Random antichains of faces on up to 8 vertices, empty faces included,
+    # so both the nerve and the face listing run.
+    rng = random.Random(20261020)
+    nerves = 0
+    for _ in range(400):
+        n = rng.randint(1, 8)
+        masks = [rng.getrandbits(n) for _ in range(rng.randint(1, 6))]
+        faces = _maximal_masks(masks)
+        nerves += nerve_is_cheaper(n, faces)
+        for p in (0, 2, 3, 5):
+            assert _homology_dims_cached(n, faces, p) == homology_reference(n, faces, p), faces
+    assert 50 < nerves < 350
+
+
+@contextlib.contextmanager
+def _alarm(seconds):
+    # Interrupts the block with TimeoutError after seconds of wall time, so a
+    # regression that lists 2^31 faces stops before it fills the memory.
+    def expired(signum, frame):
+        raise TimeoutError(f"took over {seconds}s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_large_faces_take_the_nerve_time_alarms():
+    # Regression alarms, not benchmarks.  Listing the 2^|F| faces below each
+    # maximal face F, betti_totals of these 5-generator draws took 0.06, 0.33
+    # and 2.3 s in 10, 12 and 14 variables on a 2-CPU host, and the ideal in
+    # 63 variables, whose first two generators make faces of 31 and 32
+    # vertices, did not finish.  Listing the nerve where that is cheaper, they
+    # take about 0.01, 0.15, 0.002 and 0.003 s.
+    fields = [RATIONALS, GF2]
+    for n in (10, 12, 14):
+        rng = random.Random(5)
+        gens = [tuple(rng.randint(1, 9) for _ in range(n)) for _ in range(5)]
+        ideal = MonomialIdeal.from_generators([f"x{i}" for i in range(n)], gens)
+        with _alarm(2.0):
+            totals = betti_totals(ideal, fields)
+        assert totals == taylor_betti(ideal, fields), n
+    wide = [(1,) * 31 + (0,) * 32, (0,) * 31 + (1,) * 32, (2,) + (0,) * 30 + (2,) + (0,) * 31]
+    ideal = MonomialIdeal.from_generators([f"x{i}" for i in range(63)], wide)
+    for field in fields:
+        with _alarm(2.0):
+            table = betti_table(ideal, field)
+        assert table.totals == taylor_betti(ideal, field) == (1, 3, 3, 1) + (0,) * 60
 
 
 def test_antichain_of_maximal_faces():
@@ -550,13 +630,14 @@ def _mask_route(ideal):
 def test_only_points_that_reach_homology_become_python_sets(monkeypatch):
     # Counts, not times.  On the table route _homology_dims_cached runs once
     # per distinct complex that is not a cone, on the maximal faces read off
-    # its face code, and _maximal_masks does not run; on the mask route
-    # _maximal_masks runs once per point handed to _homology_dims_cached, so
-    # every skipped point stays in numpy.
+    # its face code, and _maximal_masks does not run.  On the mask route
+    # _maximal_masks runs once per point whose complex is not one simplex,
+    # so every skipped point stays in numpy, and _homology_dims_cached once
+    # per such point that is not a cone: the cone skip both routes share.
     ideal = power(fixture_ideal("mixed6"), 4)
     lattice = lcm_lattice(ideal)
-    complexes = {_upper_koszul_reference(ideal, a) for a in _rows(lattice)}
-    distinct = [c for c in complexes if not _is_cone(c)]
+    per_point = [_upper_koszul_reference(ideal, a) for a in _rows(lattice)]
+    distinct = [c for c in set(per_point) if not _is_cone(c)]
     calls = {"_maximal_masks": 0, "_homology_dims_cached": 0}
     maximal_faces = []
     for attr in calls:
@@ -582,8 +663,11 @@ def test_only_points_that_reach_homology_become_python_sets(monkeypatch):
     calls.update(dict.fromkeys(calls, 0))
     with _mask_route(ideal):
         betti_table(ideal)
-        assert 0 < calls["_maximal_masks"] == calls["_homology_dims_cached"]
-        assert calls["_homology_dims_cached"] < len(lattice)
+        simplices = sum(len(c) == 1 and c[0] != 0 for c in per_point)
+        assert calls["_maximal_masks"] == len(lattice) - simplices
+        cones = sum(_is_cone(c) for c in per_point)
+        assert 0 < calls["_homology_dims_cached"] == len(lattice) - cones
+        assert calls["_homology_dims_cached"] < calls["_maximal_masks"]
         mask_calls = dict(calls)
         calls.update(dict.fromkeys(calls, 0))
         betti_totals(ideal)
@@ -658,6 +742,20 @@ def test_table_route_matches_mask_route_on_random_ideals():
             _assert_routes_agree(ideal_k, fields[trial % 3])
             checked += 1
     assert checked == 204
+
+
+def test_routes_agree_over_f5_without_a_grid(monkeypatch):
+    # With GRID_CAP = 1 no key space is dense, so each ideal takes the mask
+    # route and closes its lattice by joins; by default rp2 and mixed6^2 take
+    # the table route and C7^2 the mask route on the grid table.
+    F5 = CoefficientField(5)
+    ideals = [fixture_ideal("rp2"), power(fixture_ideal("mixed6"), 2), power(_seven_cycle(), 2)]
+    expected = [betti_table(ideal, F5) for ideal in ideals]
+    monkeypatch.setattr(resolution_engine, "GRID_CAP", 1)
+    for ideal, table in zip(ideals, expected):
+        assert not _dense(ideal)
+        assert betti_table(ideal, F5).entries == table.entries
+        assert betti_totals(ideal, F5) == table.totals
 
 
 def test_betti_totals_over_several_fields_equals_one_call_per_field(monkeypatch):

@@ -409,6 +409,24 @@ def test_scan_draws_each_ideal_once(monkeypatch):
     assert draws == list(range(100))
 
 
+def test_scan_computes_its_records_with_scan_record(monkeypatch):
+    # run_scan builds each record it computes with scan_record, handing it
+    # the ideal it drew, so a counting wrapper (as the benchmark's tracer
+    # installs) sees the seed-1 scan's 6 relabelling classes.
+    params = ScanParameters(3, 4, 1, count=100, seed=1)
+    calls = []
+    real = scan.scan_record
+
+    def counted(params, index, ideal=None):
+        calls.append(ideal)
+        return real(params, index, ideal)
+
+    monkeypatch.setattr(scan, "scan_record", counted)
+    records = list(run_scan(params))
+    assert len(calls) == 6 and None not in calls
+    assert len({scan._relabelled(r.generators) for r in records}) == 6
+
+
 def test_scan_memo_cap_keeps_output(monkeypatch):
     params = ScanParameters(3, 4, 1, count=100, seed=1)
     monkeypatch.setattr(scan, "SCAN_MEMO_CAP", 2)

@@ -27,6 +27,7 @@ from bettipowers.spectra import (
 
 from _fixtures import fixture_ideal
 from _limit_theorem import limit_polynomial, limit_root_multiset, verify_limit_theorem
+from _polynomial_product import multiply
 
 
 def _poly(*coeffs):
@@ -92,9 +93,7 @@ def test_find_roots_rejects_constants():
 
 def test_find_roots_high_multiplicity_cluster():
     # (1+t)^20: the cluster passes by backward error, not by step convergence.
-    p = RationalPolynomial.constant(1)
-    for _ in range(20):
-        p = p * _poly(1, 1)
+    p = multiply(*[_poly(1, 1)] * 20)
     roots = find_roots(p)
     assert len(roots) == 20
     assert sum(1 for z in roots if z.imag == 0.0) == 2
@@ -355,7 +354,7 @@ def _mixed_degree_profile():
             RationalPolynomial.constant(3),
             (k - one).scale(3),
             k - one,
-            (k - one) * (k - one.scale(2)),
+            _poly(2, -3, 1),  # (k - 1)(k - 2)
         ),
         k0=1,
         apd=5,
@@ -428,7 +427,7 @@ def test_sturm_counts_and_intervals():
 
 
 def test_sturm_counts_distinct_roots():
-    p = _poly(1, 1) * _poly(1, 1) * _poly(-2, 1)
+    p = multiply(_poly(1, 1), _poly(1, 1), _poly(-2, 1))
     assert sturm_real_root_count(p) == 2
     assert real_root_multiplicities(p) == {1: 1, 2: 1}
     assert real_root_multiplicities(_poly(0, 0, 0, 1)) == {3: 1}
