@@ -3,8 +3,9 @@
 The polynomial for each k is exact; root extraction is the only floating
 point step.  The finder is a simultaneous (Aberth-Ehrlich style) iteration
 with initial points on Newton-polygon circles, run under an exact conjugate
-pairing so that root sets of real polynomials stay symmetric; realness and
-root counts over intervals are certified separately by exact Sturm chains.
+pairing so that root sets of real polynomials stay symmetric and each sweep
+runs one Horner and one repulsion row per conjugate pair; realness and root
+counts over intervals are certified separately by exact Sturm chains.
 A root locus sweeps, polishes and gates all its powers of one reduced degree
 as one batch, with the same bits as one power at a time.
 """
@@ -183,13 +184,12 @@ def _initial_points(
     return np.array(points, dtype=complex), real_slots, pairs
 
 
-def _horner_columns(coeffs: np.ndarray) -> np.ndarray:
-    # Complex coefficient columns (m+1, K, 4, m), highest degree first, of the
-    # rows p, p', q, q' with q(w) = w^m p(1/w) of each of a (K, m+1) batch of
-    # polynomials, broadcast over its m iterates so that each Horner step adds
-    # two contiguous arrays.  Derivative rows get a leading zero so that all
-    # four share one length; the zero step leaves Horner's accumulator at
-    # exactly 0, so every row sees np.polyval's operations.
+def _horner_columns(coeffs: np.ndarray, width: int) -> np.ndarray:
+    # Complex coefficient columns (m+1, K, 4, width), highest degree first, of
+    # the rows p, p', q, q' with q(w) = w^m p(1/w) of each of a (K, m+1) batch
+    # of polynomials, broadcast over width iterates so that each Horner step
+    # adds two contiguous arrays.  Derivative rows get a leading zero so that
+    # all four share one length.
     m = coeffs.shape[1] - 1
     weights = np.arange(m, 0, -1)
     rows = np.zeros((4,) + coeffs.shape)
@@ -197,19 +197,21 @@ def _horner_columns(coeffs: np.ndarray) -> np.ndarray:
     rows[1, :, 1:] = coeffs[:, :0:-1] * weights
     rows[2] = coeffs
     rows[3, :, 1:] = coeffs[:, :-1] * weights
-    return np.repeat(rows.transpose(2, 1, 0)[..., None].astype(complex), m, axis=3)
+    return np.repeat(rows.transpose(2, 1, 0)[..., None].astype(complex), width, axis=3)
 
 
 def _newton_corrections(columns: np.ndarray, z: np.ndarray, absz: np.ndarray, x, y) -> np.ndarray:
-    # p(z)/p'(z) for a (K, m) batch of iterates, absz = |z|, by Horner on all
-    # four rows in the (K, 4, m) buffers x and y, taken through the reversed
-    # polynomial at w = 1/z where |z| > 1 so that nothing overflows.
+    # p(z)/p'(z) for a (K, n) batch of iterates, absz = |z|, by Horner on all
+    # four rows in the (K, 4, n) buffers x and y, taken through the reversed
+    # polynomial at w = 1/z where |z| > 1 so that nothing overflows.  Horner
+    # starts from the first column, which is np.polyval's first step 0*x + c
+    # at every finite x, so every row sees np.polyval's operations.
     m = len(columns) - 1
     x[:, :2] = z[:, None]
-    w = np.divide(1.0, z, out=x[:, 2])
-    x[:, 3] = w
-    y[...] = 0.0
-    for c in columns:
+    np.divide(1.0, z[:, None], out=x[:, 2:])
+    w = x[:, 2]
+    y[...] = columns[0]
+    for c in columns[1:]:
         y *= x
         y += c
     p, dp, q, dq = y.transpose(1, 0, 2)
@@ -222,41 +224,65 @@ def _aberth_sweeps(
     # Simultaneous iteration on a (K, m) batch: row r holds the iterates of
     # the polynomial coeffs[r], and every row shares one start layout, whose
     # real slots come first and whose conjugate pairs fill adjacent slots
-    # after them.  A row leaves at the sweep where it would have left on its
-    # own, and the rows still running are compacted into the leading rows of
-    # the Horner columns and of the buffers, which are allocated once.  No
-    # step mixes rows, so each row's bits are those of a batch of one.
-    # Returns the final iterates and, per row, whether they pass the gate.
-    columns = _horner_columns(coeffs)
+    # after them.  After every projection each lower pair member is bitwise
+    # the conjugate of its upper one, and numpy's complex *, +, / and
+    # reciprocal commute exactly with conjugation.  So one Horner and one
+    # repulsion row run per conjugate pair: the iterates are stored own
+    # points (real slots, upper members, any unpaired slot) first and lower
+    # members last, and a lower member takes the conjugate of its partner's
+    # correction and of its partner's repulsion row with the pair columns
+    # swapped, gathered C-contiguous because numpy's row sum adds in another
+    # order on other layouts.  A row leaves at the sweep where it would have
+    # left on its own, and the rows still running are compacted into the
+    # leading rows of the Horner columns and of the buffers, which are
+    # allocated once.  No step mixes rows, so each row's bits are those of a
+    # batch of one.  Returns the final iterates and, per row, whether they
+    # pass the gate.
+    m, n_real, n_pairs = z.shape[1], len(real_slots), len(pairs)
+    end, n_own = n_real + 2 * n_pairs, m - n_pairs
+    order = np.r_[0:n_real, n_real:end:2, end:m, n_real + 1 : end : 2]
+    slots = np.empty_like(order)  # where each slot is stored
+    slots[order] = np.arange(m)
+    upper, lower = slice(n_real, n_real + n_pairs), slice(n_own, m)
+    partner = np.r_[0:n_real, np.arange(n_real, end).reshape(-1, 2)[:, ::-1].ravel(), end:m]
+    columns = _horner_columns(coeffs, n_own)
     out = np.empty_like(z)
     accepted = np.zeros(len(z), dtype=bool)
     running = np.arange(len(z))
-    n_real, end = len(real_slots), len(real_slots) + 2 * len(pairs)
-    z, absz, m = z.copy(), np.abs(z), z.shape[1]
-    x, y = np.empty((2, len(z), 4, m), dtype=complex)
-    diff = np.empty(z.shape + (m,), dtype=complex)
+    z = z[:, order]
+    absz = np.abs(z)
+    limit = 1.0 + absz
+    x, y = np.empty((2, len(z), 4, n_own), dtype=complex)
+    diff = np.empty((len(z), n_own, m), dtype=complex)
+    diagonal = np.arange(n_own) * m + order[:n_own]
     gate_below = max(DEFAULT_STEP_TOL, 1e-8)
     for _ in range(DEFAULT_MAX_ITER):
         with np.errstate(all="ignore"):
-            newton = _newton_corrections(columns, z, absz, x, y)
-            np.subtract(z[:, :, None], z[:, None, :], out=diff)
-            diff.reshape(len(z), m * m)[:, :: m + 1] = np.inf
-            repulse = np.divide(1.0, diff, out=diff).sum(axis=2)
+            newton = np.empty_like(z)
+            newton[:, :n_own] = _newton_corrections(columns, z[:, :n_own], absz[:, :n_own], x, y)
+            np.conjugate(newton[:, upper], out=newton[:, lower])
+            np.subtract(z[:, :n_own, None], z[:, None, slots], out=diff)
+            diff.reshape(len(z), -1)[:, diagonal] = np.inf
+            inverse = np.divide(1.0, diff, out=diff)
+            repulse = np.empty_like(z)
+            repulse[:, :n_own] = inverse.sum(axis=2)
+            mirrored = np.take(inverse[:, upper], partner, axis=2)
+            np.conjugate(mirrored.sum(axis=2), out=repulse[:, lower])
             step = newton / (1.0 - newton * repulse)
             if not np.isfinite(step).all():
                 fallback = np.where(np.isfinite(newton), newton, 0.0)
                 step = np.where(np.isfinite(step), step, fallback)
-            limit = 1.0 + absz
             mag = np.abs(step)
-            step *= np.where(mag > limit, limit / mag, 1.0)
+            step *= np.minimum(limit / mag, 1.0)
         z -= step
         z[:, :n_real].imag = 0.0
-        upper, lower = z[:, n_real:end:2], z[:, n_real + 1 : end : 2]
-        upper += lower.conj()
-        upper /= 2.0
-        np.conjugate(upper, out=lower)
+        z_upper, z_lower = z[:, upper], z[:, lower]
+        z_upper += z_lower.conj()
+        z_upper /= 2.0
+        np.conjugate(z_upper, out=z_lower)
         absz = np.abs(z)
-        max_step = np.max(np.abs(step) / (1.0 + absz), axis=1)
+        limit = 1.0 + absz
+        max_step = np.max(np.abs(step) / limit, axis=1)
         # Tiny steps alone are not convergence: collided points freeze the
         # iteration through the repulsion term, so acceptance always goes
         # through the residual gate.
@@ -268,9 +294,10 @@ def _aberth_sweeps(
         accepted[running[near]] = gate
         done[near] |= gate
         if done.any():
-            out[running[done]] = z[done]
+            out[running[done]] = z[done][:, slots]
             keep = ~done
-            running, z, absz, coeffs = running[keep], z[keep], absz[keep], coeffs[keep]
+            running, z, coeffs = running[keep], z[keep], coeffs[keep]
+            absz, limit = absz[keep], limit[keep]
             if not len(running):
                 return out, accepted
             for c in columns:
@@ -278,7 +305,7 @@ def _aberth_sweeps(
             columns = columns[:, : len(z)]
             x, y, diff = x[: len(z)], y[: len(z)], diff[: len(z)]
     accepted[running] = (_scaled_residuals(coeffs, z) <= DEFAULT_RESIDUAL_TOL).all(axis=1)
-    out[running] = z
+    out[running] = z[:, slots]
     return out, accepted
 
 
@@ -291,7 +318,7 @@ def _newton_polish(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
     # residual gate stays satisfied.
     best, cur = z.copy(), z
     best_res = _scaled_residuals(coeffs, best)
-    columns = _horner_columns(coeffs)
+    columns = _horner_columns(coeffs, z.shape[1])
     x, y = np.empty((2, len(z), 4, z.shape[1]), dtype=complex)
     for _ in range(_POLISH_ITERS):
         with np.errstate(all="ignore"):
@@ -539,18 +566,21 @@ class RootLocus:
 
 
 def _match_order(prev: Sequence[complex], cur: Sequence[complex]) -> list[complex]:
-    # Greedy nearest-neighbor continuation, ties broken by smaller indices.
-    ranked = sorted(
-        (abs(p - c), i, j) for i, p in enumerate(prev) for j, c in enumerate(cur)
-    )
+    # Greedy nearest-neighbor continuation, ties broken by smaller indices:
+    # a stable sort of the row-major distances ranks the pairs by
+    # (|p - c|, i, j), taken until every trajectory has its partner.
+    # Python's sort, since numpy's maps its sort code into the process.
+    dist = np.abs(np.subtract.outer(np.array(prev), np.array(cur))).ravel().tolist()
     assignment: dict[int, complex] = {}
-    used_prev, used_cur = set(), set()
-    for _, i, j in ranked:
-        if i in used_prev or j in used_cur:
+    used_cur = set()
+    for flat in sorted(range(len(dist)), key=dist.__getitem__):
+        i, j = divmod(flat, len(cur))
+        if i in assignment or j in used_cur:
             continue
-        used_prev.add(i)
         used_cur.add(j)
         assignment[i] = cur[j]
+        if len(assignment) == len(prev):
+            break
     return [assignment[i] for i in range(len(prev))]
 
 

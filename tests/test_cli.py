@@ -83,6 +83,9 @@ def test_roots_regular_sequence_stdout(capsys):
 LOCUS_DIGESTS = {
     ("--regular-sequence", "20", "--kmax", "40"):
         "c4088d178741d0ea36602b35507068b40c6d97b1c5d51c7af03e19a15b19c79e",
+    # Odd reduced degree: 3 real slots and 8 conjugate pairs.
+    ("--regular-sequence", "19", "--kmax", "20"):
+        "cb2d4326a5a76a88cc6196daed84ce091400c1d83c48b2c16c358ba898b69614",
     (_fixture("edges5"), "--kmax", "12"):
         "b8c2ec5ced9f488d17abf20b9735b2dd6bffc4adf43db5a5d335add14a3f8154",
     (_fixture("maximal3"), "--kmax", "12"):
@@ -94,7 +97,13 @@ LOCUS_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("args", list(LOCUS_DIGESTS), ids=lambda a: Path(a[0]).stem.lstrip("-"))
+def _locus_id(args):
+    # The fixture's name; a regular sequence other than n=20 adds its n.
+    name = Path(args[0]).stem.lstrip("-")
+    return f"{name}-{args[1]}" if name == "regular-sequence" and args[1] != "20" else name
+
+
+@pytest.mark.parametrize("args", list(LOCUS_DIGESTS), ids=_locus_id)
 def test_roots_locus_bytes_are_pinned(capsys, args):
     code, out, _ = _run(capsys, ["roots", *args])
     assert code == 0

@@ -1101,6 +1101,16 @@ def test_taylor_runs_at_its_generator_cap():
     elapsed = time.perf_counter() - start
     assert totals == [betti_table(ideal, field).totals for field in fields]
     assert elapsed < 2.0, f"took {elapsed:.2f}s"
+    # A memory alarm on a second call: the bit rows are as wide as their last
+    # column, and the traced peak was 30.6 MiB here (16.5 MiB with dict rows).
+    tracemalloc.start()
+    try:
+        again = taylor_betti(ideal, fields)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert again == totals
+    assert peak <= 40 << 20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_taylor_over_gf3_at_its_generator_cap():

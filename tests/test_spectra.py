@@ -283,8 +283,8 @@ def test_find_roots_fallback_matches_reference(monkeypatch):
 
 
 def test_symmetric_start_layout_is_real_slots_then_adjacent_pairs():
-    # The sweep projects the real slots and the conjugate pairs through
-    # strided views, which is only right for this layout.
+    # The sweep builds its storage order and its conjugate partners from
+    # this layout, which is only right for it.
     rng = random.Random(20261019)
     for m in range(3, 31):
         for radii in ([1.0] * m, [rng.uniform(0.1, 10.0) for _ in range(m)]):
@@ -297,12 +297,36 @@ def test_symmetric_start_layout_is_real_slots_then_adjacent_pairs():
 
 
 def test_aberth_sweeps_match_reference_on_regular_sequence():
-    # One batch of four rows that leave at different sweeps: k=1 is (1+t)^20,
-    # whose roots end as a noise ring after all sweeps; k=2 leaves at the
-    # residual gate; k=5 and k=20 run every sweep.
-    profile = closed_form_profile(20)
-    polys = [betti_polynomial_at(profile, k).coefficients for k in (1, 2, 5, 20)]
-    _assert_sweeps_match_reference(polys, True)
+    # One batch of four rows per length that leave at different sweeps: k=1
+    # is (1+t)^n, whose roots end as a noise ring after all sweeps; k=2 leaves
+    # at the residual gate; k=5 and k=n run every sweep.  n=20 has 2 real
+    # slots and 9 conjugate pairs, n=19 has 3 real slots and 8 pairs.
+    for n in (20, 19):
+        profile = closed_form_profile(n)
+        polys = [betti_polynomial_at(profile, k).coefficients for k in (1, 2, 5, n)]
+        _assert_sweeps_match_reference(polys, True)
+
+
+def test_newton_corrections_and_reciprocals_commute_with_conjugation():
+    # The sweep runs Horner and the repulsion divisions only at the real
+    # slots and upper pair members and conjugates the results for the lower
+    # members, which keeps the bits only while these hold bit for bit, off
+    # the real axis, inside and outside the unit circle.
+    rng = np.random.default_rng(20261020)
+    coeffs = rng.normal(size=(8, 13))
+    coeffs[:, -1] = 1.0
+    modulus = np.exp(rng.uniform(-7.0, 7.0, size=(8, 40)))
+    z = modulus * np.exp(1j * rng.uniform(0.01, np.pi - 0.01, size=(8, 40)))
+    assert (z.imag > 0).all() and (modulus < 1).any() and (modulus > 1).any()
+    columns = spectra._horner_columns(coeffs, z.shape[1])
+    x, y = np.empty((2,) + z.shape[:1] + (4,) + z.shape[1:], dtype=complex)
+    with np.errstate(all="ignore"):
+        at_z = spectra._newton_corrections(columns, z, np.abs(z), x, y)
+        at_conj = spectra._newton_corrections(columns, z.conj(), np.abs(z.conj()), x, y)
+        assert np.isfinite(at_z).all()
+        assert at_conj.tobytes() == at_z.conj().tobytes()
+        for d in (z, (z[:, :, None] - z[:, None, :])[:, ~np.eye(z.shape[1], dtype=bool)]):
+            assert np.divide(1.0, d.conj()).tobytes() == np.divide(1.0, d).conj().tobytes()
 
 
 def test_aberth_sweeps_match_reference_on_random_polynomials():
@@ -319,6 +343,34 @@ def test_aberth_sweeps_match_reference_on_random_polynomials():
     for polys in by_degree.values():
         for symmetric in (True, False):
             _assert_sweeps_match_reference(polys, symmetric)
+
+
+def _match_order_reference(prev, cur):
+    # Greedy nearest-neighbor continuation over every pair, sorted as Python
+    # tuples (|p - c|, i, j); spectra._match_order must make the same choices.
+    ranked = sorted((abs(p - c), i, j) for i, p in enumerate(prev) for j, c in enumerate(cur))
+    assignment, used_cur = {}, set()
+    for _, i, j in ranked:
+        if i not in assignment and j not in used_cur:
+            used_cur.add(j)
+            assignment[i] = cur[j]
+    return [assignment[i] for i in range(len(prev))]
+
+
+def test_match_order_matches_the_sorted_reference():
+    # The regular-sequence locus to k=40, and random points on a coarse grid,
+    # where equal distances, and so the index tie-breaks, are common.
+    profile = closed_form_profile(20)
+    found = spectra._find_roots_batch(
+        [betti_polynomial_at(profile, k, allow_unstabilized=True) for k in range(1, 41)]
+    )
+    rng = random.Random(20261020)
+    grid = []
+    for _ in range(300):
+        m = rng.randint(1, 10)
+        grid.append([[complex(rng.randint(-3, 3), rng.randint(-2, 2)) for _ in range(m)] for _ in "pc"])
+    for prev, cur in list(zip(found, found[1:])) + grid:
+        assert spectra._match_order(prev, cur) == _match_order_reference(prev, cur)
 
 
 def _locus_csv_one_k_at_a_time(profile, ks):
