@@ -30,9 +30,10 @@ DEFAULT_GUARD = 3
 class ProfileInvariantError(RuntimeError):
     """A structural invariant of the asymptotic profile failed.
 
-    These invariants (constant P_0, degree chain, integrality and sign of the
-    multiplicities, alternating sum) are theorems; a violation means either
-    an engine bug or a window too short to have truly stabilized.
+    These invariants (constant P_0, degree chain, apd >= ell, integrality
+    and sign of the multiplicities, alternating sum) are theorems; a
+    violation means either an engine bug or a window too short to have
+    truly stabilized.
     """
 
 
@@ -180,6 +181,10 @@ def kodiyalam_profile(
                 f"degree chain broken: deg P_{i} = {degs[i]} < deg P_{i+1} = {degs[i+1]}"
             )
     ell = int(degs[1]) + 1
+    # Brodmann (1979): lim depth S/I^k <= n - ell, so by Auslander-Buchsbaum
+    # the limit projective dimension apd is at least ell.
+    if apd < ell:
+        raise ProfileInvariantError(f"apd = {apd} < ell = {ell}, against Brodmann's bound")
     bigK = max(i for i in range(1, n + 1) if degs[i] == ell - 1)
     mults = []
     for i in range(1, bigK + 1):

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterator, Optional, TextIO
 
 from .asymptotics import (
@@ -47,8 +47,8 @@ from .verdicts import FAILS, VerdictReport, full_report
 RECORD_SEED_STRIDE = 1_000_003
 
 # Memo keys (relabelling classes, and the ideals of a class whose first
-# record is an engine fault) one run_scan call keeps records for (about
-# 1.7 KB each in three variables); read at call time.
+# record is an engine fault) one run_scan call keeps outcomes for (about
+# 0.5 KB of JSON text each in three variables); read at call time.
 SCAN_MEMO_CAP = 1024
 
 
@@ -192,22 +192,27 @@ def _report_findings(report: VerdictReport, record: ScanRecord) -> list[dict]:
     ]
 
 
-def _reindexed(record: ScanRecord, index: int, generators: tuple) -> ScanRecord:
-    """record's outcome as the record of index and generators, sharing
-    nothing mutable with it."""
+def _outcome(record: ScanRecord) -> str:
+    # What a repeat takes from the first record of its key, as JSON text: the
+    # records are JSON trees, so one json.loads of it is a private copy.
+    return json.dumps([record.kmax, record.profile, record.verdicts, record.findings])
+
+
+def _reindexed(
+    params: ScanParameters, outcome: str, index: int, generators: tuple
+) -> ScanRecord:
+    """The record of index and generators whose outcome is the stored text."""
     start = time.perf_counter()
-    # Records are JSON trees, so a JSON round trip copies them whole.
-    outcome = json.dumps([record.profile, record.verdicts, record.findings])
-    profile, verdicts, findings = json.loads(outcome)
+    kmax, profile, verdicts, findings = json.loads(outcome)
     for finding in findings:
         finding["index"] = index
         finding["generators"] = [list(g) for g in generators]
-    copied = replace(
-        record, index=index, generators=generators,
-        profile=profile, verdicts=verdicts, findings=findings,
+    record = ScanRecord(
+        index=index, seed=params.seed, params=params, generators=generators,
+        kmax=kmax, profile=profile, verdicts=verdicts, findings=findings,
     )
-    copied.timing = time.perf_counter() - start
-    return copied
+    record.timing = time.perf_counter() - start
+    return record
 
 
 def _relabelled(generators: tuple) -> tuple:
@@ -218,24 +223,26 @@ def _relabelled(generators: tuple) -> tuple:
 
 
 def run_scan(params: ScanParameters) -> Iterator[ScanRecord]:
-    # Records are kept as private copies, so a caller that edits a yielded
-    # record cannot change later ones.  A key whose first record is an engine
-    # fault keeps each ideal's record under (key, generators).
-    memo: dict[tuple, ScanRecord] = {}
+    # The memo maps a key to (whether its record is an engine fault, its
+    # outcome), the text written before the record is yielded, so a caller
+    # that edits a yielded record cannot change later ones.  A key whose
+    # first record is an engine fault keeps each ideal's outcome under
+    # (key, generators).
+    memo: dict[tuple, tuple[bool, str]] = {}
     for index in range(params.count):
         ideal = _record_ideal(params, index)
         key = _relabelled(ideal.generators)
         exact = (key, ideal.generators)
         first = memo.get(key)
-        if first is not None and first.profile["status"] == "error":
+        if first is not None and first[0]:
             first = memo.get(exact)
         if first is not None:
-            yield _reindexed(first, index, ideal.generators)
+            yield _reindexed(params, first[1], index, ideal.generators)
             continue
         record = scan_record(params, index, ideal)
         if len(memo) < SCAN_MEMO_CAP:
-            kept = _reindexed(record, index, ideal.generators)
-            if memo.setdefault(key, kept).profile["status"] == "error":
+            kept = (record.profile["status"] == "error", _outcome(record))
+            if memo.setdefault(key, kept)[0]:
                 memo[exact] = kept
         yield record
 

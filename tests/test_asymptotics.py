@@ -134,7 +134,7 @@ def _series_from_columns(nvars, columns, kmax):
     rows = tuple(
         tuple(columns[i](k) for i in range(nvars + 1)) for k in range(1, kmax + 1)
     )
-    ideal = fixture_ideal("maximal2")
+    ideal = fixture_ideal(f"maximal{nvars}")
     return BettiSeries(ideal, RATIONALS, kmax, rows, betti_table(ideal))
 
 
@@ -153,6 +153,16 @@ def test_invariant_error_on_broken_degree_chain():
 def test_invariant_error_on_alternating_sum():
     series = _series_from_columns(2, [lambda k: 1, lambda k: k, lambda k: 2 * k], 6)
     with pytest.raises(ProfileInvariantError):
+        kodiyalam_profile(series)
+
+
+def test_invariant_error_when_apd_is_below_ell():
+    # P_1 = P_2 = k^2 and P_3 = 0 in three variables: ell = 3, apd = 2, and
+    # every other invariant holds (multiplicities 2, 2 sum to 0 alternately).
+    series = _series_from_columns(
+        3, [lambda k: 1, lambda k: k * k, lambda k: k * k, lambda k: 0], 6
+    )
+    with pytest.raises(ProfileInvariantError, match="apd = 2 < ell = 3"):
         kodiyalam_profile(series)
 
 

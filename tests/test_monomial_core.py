@@ -24,6 +24,10 @@ from bettipowers.monomial_core import (
 from _fixtures import FIXTURE_DIR, fixture_ideal
 from _power_reference import minimalize_reference
 
+# Values of monomial_core._SMALL that send every input to the numpy pass
+# and to the Python scan respectively.
+BOTH_PATHS = (0, 1 << 30)
+
 
 def test_parse_basic():
     ideal = parse_ideal("vars: x y; gens: x*y, x^2")
@@ -72,9 +76,10 @@ def test_divides_and_contains():
     assert not ideal.contains((1, 0))
 
 
-def test_from_generators_validation():
-    # Lengths and signs are checked before any array is built, so a ragged
-    # list gets this message rather than numpy's inhomogeneous-shape error.
+def test_from_generators_validation(monkeypatch):
+    # Lengths and signs are checked before minimalize, so a ragged list gets
+    # this message on both paths: the Python scan would sort it silently and
+    # the numpy pass would raise numpy's inhomogeneous-shape error.
     cases = [
         (("x",), [(1, 0)], "generator (1, 0) has wrong length, expected 1"),
         (("x", "y"), [(1, 0), (1,)], "generator (1,) has wrong length, expected 2"),
@@ -87,19 +92,25 @@ def test_from_generators_validation():
         ((), [()], "unit generator: the unit ideal is not accepted as input"),
         (("x", "x"), [(1, 0)], "duplicate variable names"),
     ]
-    for variables, gens, message in cases:
-        with pytest.raises(ValueError) as err:
-            MonomialIdeal.from_generators(variables, gens)
-        assert str(err.value) == message
-    # A float exponent is refused rather than truncated by an integer array.
-    with pytest.raises(TypeError):
-        MonomialIdeal.from_generators(("x",), [(1.5,)])
+    for small in BOTH_PATHS:
+        monkeypatch.setattr(monomial_core, "_SMALL", small)
+        for variables, gens, message in cases:
+            with pytest.raises(ValueError) as err:
+                MonomialIdeal.from_generators(variables, gens)
+            assert str(err.value) == message
+        # A float exponent is refused rather than truncated by an integer array.
+        with pytest.raises(TypeError):
+            MonomialIdeal.from_generators(("x",), [(1.5,)])
 
 
-def test_from_generators_keeps_python_ints():
-    ideal = MonomialIdeal.from_generators(("x", "y"), [np.array([2, 1]), [np.int64(1), 3]])
-    assert ideal.generators == ((2, 1), (1, 3))
-    assert all(type(e) is int for g in ideal.generators for e in g)
+def test_from_generators_keeps_python_ints(monkeypatch):
+    for small in BOTH_PATHS:
+        monkeypatch.setattr(monomial_core, "_SMALL", small)
+        ideal = MonomialIdeal.from_generators(("x", "y"), [np.array([2, 1]), [np.int64(1), 3]])
+        assert ideal.generators == ((2, 1), (1, 3))
+        assert all(type(e) is int for g in ideal.generators for e in g)
+        # minimalize itself hands back Python ints for numpy ones.
+        assert all(type(e) is int for g in minimalize([np.array([2, 1])]) for e in g)
 
 
 def test_power_of_maximal():
@@ -142,14 +153,16 @@ def test_power_matches_all_products_of_k_generators():
             assert power(ideal, k) == _power_reference(ideal, k), (text, k)
 
 
-def test_powers_match_reference_on_fixtures():
+def test_powers_match_reference_on_fixtures(monkeypatch):
     names = sorted(path.stem for path in FIXTURE_DIR.glob("*.ideal"))
     assert "artinian4" in names
-    for name in names:
-        ideal = fixture_ideal(name)
-        kmax = 6 if name == "artinian4" else 4
-        for k, P in enumerate(powers(ideal, kmax), start=1):
-            assert P.generators == _power_reference(ideal, k).generators, (name, k)
+    for small in BOTH_PATHS:
+        monkeypatch.setattr(monomial_core, "_SMALL", small)
+        for name in names:
+            ideal = fixture_ideal(name)
+            kmax = 6 if name == "artinian4" else 4
+            for k, P in enumerate(powers(ideal, kmax), start=1):
+                assert P.generators == _power_reference(ideal, k).generators, (small, name, k)
 
 
 def _assert_minimalize_matches_reference(gens):
@@ -159,8 +172,11 @@ def _assert_minimalize_matches_reference(gens):
 
 
 def test_minimalize_matches_reference_on_random_vectors(monkeypatch):
-    # Budgets of 1 and 7 cells split every input into many batches.
-    for cells in (monomial_core._CHUNK_CELLS, 1, 7):
+    # The numpy pass under its own budget and budgets of 1 and 7 cells, which
+    # split every input into many batches, then the Python scan.
+    default = monomial_core._CHUNK_CELLS
+    for small, cells in ((0, default), (0, 1), (0, 7), (BOTH_PATHS[1], default)):
+        monkeypatch.setattr(monomial_core, "_SMALL", small)
         monkeypatch.setattr(monomial_core, "_CHUNK_CELLS", cells)
         rng = random.Random(20140)
         for n in range(1, 10):
@@ -178,11 +194,49 @@ def test_minimalize_matches_reference_on_random_vectors(monkeypatch):
                     gens.append((0,) * n)
                 rng.shuffle(gens)
                 _assert_minimalize_matches_reference(gens)
-    assert minimalize([]) == ()
-    assert minimalize(iter([(3,), (1,), (2,), (1,)])) == ((1,),)
+        assert minimalize([]) == ()
+        assert minimalize(iter([(3,), (1,), (2,), (1,)])) == ((1,),)
 
 
-def test_minimalize_past_int64():
+def test_minimal_generators_switch_paths_past_small(monkeypatch):
+    # Up to _SMALL vectors, and products of up to _SMALL candidate sums, take
+    # the Python scan; one more takes the numpy pass.  Both give the
+    # reference's answer in Python ints.
+    sizes = []
+    real = monomial_core._minimal
+
+    def counted(T):
+        sizes.append(T.shape[1])
+        return real(T)
+
+    monkeypatch.setattr(monomial_core, "_minimal", counted)
+    small = monomial_core._SMALL
+    rng = random.Random(20142)
+    for size in (small - 1, small, small + 1):
+        for n in (1, 3, 6):
+            gens = [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(size)]
+            _assert_minimalize_matches_reference(gens)
+        assert sizes == ([size] * 3 if size > small else [])
+        sizes.clear()
+    # x and y^2*z times cubics: the products of y^2*z that x*m divides go.
+    cubics = [v for v in itertools.product(range(4), repeat=3) if sum(v) == 3]
+    I = MonomialIdeal.from_generators("xyz", [(1, 0, 0), (0, 2, 1)])
+    for count in (small // 2, small // 2 + 1):
+        J = MonomialIdeal.from_generators("xyz", cubics[:count])
+        sizes.clear()
+        sums = [tuple(map(sum, zip(g, h))) for g in I.generators for h in J.generators]
+        assert product(I, J).generators == minimalize_reference(sums)
+        assert len(minimalize_reference(sums)) < len(sums)
+        assert sizes == ([len(sums)] if len(sums) > small else [])
+
+
+def test_minimalize_past_int64(monkeypatch):
+    for small in BOTH_PATHS:
+        monkeypatch.setattr(monomial_core, "_SMALL", small)
+        _check_minimalize_past_int64()
+
+
+def _check_minimalize_past_int64():
     rng = random.Random(20141)
     edge = 1 << 63
     # Exponents of 2^63 and above, beside small ones.
@@ -199,7 +253,13 @@ def test_minimalize_past_int64():
         _assert_minimalize_matches_reference(gens)
 
 
-def test_product_and_power_past_int64():
+def test_product_and_power_past_int64(monkeypatch):
+    for small in BOTH_PATHS:
+        monkeypatch.setattr(monomial_core, "_SMALL", small)
+        _check_product_and_power_past_int64()
+
+
+def _check_product_and_power_past_int64():
     big = 1 << 62
     ideal = MonomialIdeal.from_generators(("x", "y"), [(big, big)])
     assert product(ideal, ideal).generators == ((2 * big, 2 * big),)

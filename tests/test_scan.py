@@ -427,6 +427,23 @@ def test_scan_computes_its_records_with_scan_record(monkeypatch):
     assert len({scan._relabelled(r.generators) for r in records}) == 6
 
 
+def test_scan_serializes_each_outcome_once(monkeypatch):
+    # The seed-1 scan's 94 repeats are parsed from the text each of its 6
+    # memo entries stored when it was computed, not serialized again.
+    params = ScanParameters(3, 4, 1, count=100, seed=1)
+    dumped = []
+    real = scan.json.dumps
+
+    def counted(obj, *args, **kwargs):
+        dumped.append(obj)
+        return real(obj, *args, **kwargs)
+
+    monkeypatch.setattr(scan.json, "dumps", counted)
+    records = list(run_scan(params))
+    assert len(records) == 100
+    assert len(dumped) == len(_classes(params)) == 6
+
+
 def test_scan_memo_cap_keeps_output(monkeypatch):
     params = ScanParameters(3, 4, 1, count=100, seed=1)
     monkeypatch.setattr(scan, "SCAN_MEMO_CAP", 2)
