@@ -8,7 +8,9 @@ Minimal generators keep, of the vectors sorted by (total degree, lex), each
 one that no vector of smaller degree divides (see _minimal_rows).  At most
 _SMALL vectors take a Python loop over tuples; more take one numpy pass
 (_minimal), whose arrays are int64 while every degree is below 2^63 and
-exact Python ints (an object array) past it, so no sum wraps.
+exact Python ints (an object array) past it, so no sum wraps; its
+divisibility test narrows int64 to the smallest unsigned dtype that holds
+the largest degree.
 """
 from __future__ import annotations
 
@@ -66,7 +68,9 @@ def _minimal(T: np.ndarray) -> tuple[ExponentVector, ...]:
     degree class; when every vector has one degree, none is tested.  Before
     the test, equal neighbours are dropped so it sees each vector once; it
     runs one comparison per variable over batches of at most _CHUNK_CELLS
-    vectors x prefix cells.  Equal vectors left over are dropped last.
+    vectors x prefix cells, in the narrowest unsigned dtype that holds the
+    largest degree (so every entry) unless T holds exact Python ints.  Equal
+    vectors left over are dropped last.
     """
     T = T[:, np.lexsort(T[::-1])]
     deg = T[0]
@@ -74,6 +78,8 @@ def _minimal(T: np.ndarray) -> tuple[ExponentVector, ...]:
         fresh = np.ones(len(deg), dtype=bool)
         np.logical_or.reduce(T[:, 1:] != T[:, :-1], axis=0, out=fresh[1:])
         T = T[:, fresh]
+        if T.dtype != object:
+            T = T.astype(np.min_scalar_type(T[0, -1]))
         deg = T[0]
         size, last = len(deg), deg.searchsorted(deg[-1])
         divided = np.zeros(size, dtype=bool)

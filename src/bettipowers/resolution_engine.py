@@ -8,19 +8,24 @@ per cell, to a single exact rank kernel (XOR over F_2, bit-sliced over F_3,
 decoded rows otherwise) and share the vertex order and sign convention.
 
 The engine codes lattice points as mixed-radix keys over the generators'
-distinct values on each axis, and closes the lattice once per call.  When
+distinct values on each axis, and closes the lattice once per call.  The key
+space orders its axes by radix, largest outermost, and key order is
+lexicographic order over that axis order; decoded points, lcm_lattice rows
+and the faces the homology sees are in the ideal's own variable order.  When
 that key space has at most GRID_CAP keys (it is dense), one table over the
-key grid holds both the lattice and the generators' up-closure; otherwise
-the closure joins points into sorted runs.  Both enforce DEFAULT_LATTICE_CAP
-on the points.  Two routes only classify the points' complexes by their
-maximal faces: in at most 6 variables and a dense key space, from a 2^n-bit
-face code per point read from that table, one group per distinct code (the
-table route); otherwise from the generators that divide each point,
-compared in ranks read off its key (the mask route).  One downstream skips
-cones, runs the homology once per field and complex, and adds the totals;
-the homology lists the faces of the complex or of the nerve of its maximal
-faces, whichever is fewer.  The two routes give the same tables.  Only
-betti_table decodes points, those with homology, in one call.
+key grid holds both the lattice and the generators' up-closure; otherwise,
+or on the mask route when m generators' 2^m - 1 possible points times m
+joins are fewer than the keys, the closure joins points into sorted runs.
+Both enforce DEFAULT_LATTICE_CAP on the points.  Two routes only classify
+the points' complexes by their maximal faces: in at most 6 variables and a
+dense key space, from a 2^n-bit face code per point read from that table,
+one group per distinct code (the table route); otherwise from the generators
+that divide each point, compared in ranks read off its key (the mask route).
+One downstream skips cones, runs the homology once per field and complex,
+and adds the totals; the homology lists the faces of the complex or of the
+nerve of its maximal faces, whichever is fewer.  The two routes give the
+same tables.  Only betti_table decodes points, those with homology, in one
+call.
 """
 from __future__ import annotations
 
@@ -244,37 +249,49 @@ class _KeySpace:
 
     Every coordinate of a join is some generator's value there, so a point is
     coded by the ranks of its coordinates among those values, packed into one
-    key whose order is lexicographic order.  The space is dense when its size,
-    the radix product, is at most GRID_CAP: keys are then int32 and the
-    lattice is read from one table indexed by key.  Beyond that bound keys
-    are int64 while the radix product is below 2^63, and exact Python ints (an
-    object array) past it.  Raises ResourceLimitError when an exponent does
-    not fit in int64.
+    key.  The space's axes are the ideal's variables stably sorted by radix,
+    largest outermost (order[i] is the variable of axis i, None when that is
+    the identity), so the grid's strided axes are its smallest; radices,
+    weights and ranks follow that order, and key order is lexicographic order
+    over it.  The space is dense when its size, the radix product, is at most
+    GRID_CAP: keys are then int32 and the lattice is read from one table
+    indexed by key.  Beyond that bound keys are int64 while the radix product
+    is below 2^63, and exact Python ints (an object array) past it.  Raises
+    ResourceLimitError when an exponent does not fit in int64.
     """
 
     def __init__(self, gens: Sequence[ExponentVector]):
         top = max(max(g) for g in gens)
         if top >= 1 << 63:
             raise ResourceLimitError(f"exponent {top} is beyond the engine's 64-bit range")
-        self.values = [sorted(set(column)) for column in zip(*gens)]
-        self.radices = [len(v) for v in self.values]
+        values = [sorted(set(column)) for column in zip(*gens)]
+        order = sorted(range(len(values)), key=lambda j: -len(values[j]))
+        self.order = None if order == list(range(len(order))) else order
+        if self.order is not None:
+            values = [values[j] for j in order]
+            gens = [[g[j] for j in order] for g in gens]
+        self.values = values
+        self.radices = [len(v) for v in values]
         self.size = math.prod(self.radices)
         self.dense = self.size <= GRID_CAP
         key = np.int32 if self.dense else np.int64 if self.size < 1 << 63 else object
         self.weights = np.array(
             [math.prod(self.radices[j + 1:]) for j in range(len(self.radices))], dtype=key
         )
-        rank_of = [{v: r for r, v in enumerate(vals)} for vals in self.values]
+        rank_of = [{v: r for r, v in enumerate(vals)} for vals in values]
         self.ranks = np.array(
             [[rank[e] for rank, e in zip(rank_of, g)] for g in gens], dtype=key
         )
         self.generator_keys = self.ranks @ self.weights
 
     def decode(self, keys: np.ndarray) -> np.ndarray:
-        """The exponent rows of these keys, as a (len(keys), n) int64 array."""
+        """The exponent rows of these keys, as a (len(keys), n) int64 array.
+
+        Its columns are the ideal's variables in the ideal's own order."""
         # One column at a time, so no temporary is (N, n).
         rows = np.empty((len(keys), len(self.values)), dtype=np.int64)
-        for j, (vals, w, r) in enumerate(zip(self.values, self.weights.tolist(), self.radices)):
+        columns = self.order or range(len(self.values))
+        for j, vals, w, r in zip(columns, self.values, self.weights.tolist(), self.radices):
             codes = (keys // w % r).astype(np.intp, copy=False)
             rows[:, j] = np.array(vals, dtype=np.int64)[codes]
         return rows
@@ -372,9 +389,17 @@ def _join_closure(space: _KeySpace) -> np.ndarray:
     return keys
 
 
-def _closure(space: _KeySpace) -> tuple[np.ndarray, np.ndarray | None]:
+def _closure(
+    space: _KeySpace, keys_only: bool = False
+) -> tuple[np.ndarray, np.ndarray | None]:
     # The sorted keys of the lattice, and the grid table if the space is dense.
-    return _grid_table(space) if space.dense else (_join_closure(space), None)
+    # With m generators the lattice has at most 2^m - 1 points, each joined
+    # with m generators; a caller that reads only the keys gets them by joins
+    # when that is below the grid's cell count.
+    m = len(space.generator_keys)
+    if space.dense and not (keys_only and ((1 << m) - 1) * m < space.size):
+        return _grid_table(space)
+    return _join_closure(space), None
 
 
 def lcm_lattice(I: MonomialIdeal) -> np.ndarray:
@@ -383,12 +408,15 @@ def lcm_lattice(I: MonomialIdeal) -> np.ndarray:
     Returns an (N, n) int64 array with one exponent vector per row, the rows
     in lexicographic order.  Every multidegree with a nonzero Betti number in
     homological index >= 1 lies in this set.  Points are closed as
-    mixed-radix keys (see _KeySpace), as the Betti engine closes them.
-    Raises ResourceLimitError beyond DEFAULT_LATTICE_CAP elements, or when an
-    exponent does not fit in int64.
+    mixed-radix keys (see _KeySpace), as the Betti engine closes them; keys
+    sort lexicographically over the space's axis order, so the rows are
+    sorted again when that is not the ideal's.  Raises ResourceLimitError
+    beyond DEFAULT_LATTICE_CAP elements, or when an exponent does not fit in
+    int64.
     """
     space = _KeySpace(I.generators)
-    return space.decode(_closure(space)[0])
+    rows = space.decode(_closure(space)[0])
+    return rows if space.order is None else rows[np.lexsort(rows.T[::-1])]
 
 
 def _upper_koszul_faces(
@@ -461,13 +489,15 @@ def _face_codes(space: _KeySpace, keys: np.ndarray, table: np.ndarray) -> np.nda
     n = len(space.radices)
     top = 1 << sum(r > 1 for r in space.radices)
     members, within, inside, _, _ = _subset_tables(n)
+    # rank_j >= 1 exactly when key mod w_j * r_j is at least w_j, and
+    # w_j * r_j is w_(j-1) (the size for j = 0): one remainder per axis.
     offsets = (space.weights @ members).astype(np.int32)  # sum of w_j over F
-    radices = np.array(space.radices, dtype=np.int32)
+    spans = np.array([space.size, *space.weights.tolist()[:-1]], dtype=np.int32)
     codes = np.empty(len(keys), dtype=inside.dtype)
     step, wide = max(1, _CHUNK_CELLS // n), max(1, _CHUNK_CELLS >> n)
     for at in range(0, len(keys), step):
         chunk = keys[at:at + step]
-        positive = chunk[:, None] // space.weights % radices != 0
+        positive = chunk[:, None] % spans >= space.weights
         support = np.packbits(positive, axis=1, bitorder="little")[:, 0]
         codes[at:at + step] = inside[support]
         rest = np.flatnonzero(table[chunk - offsets[support]] < top)
@@ -539,7 +569,7 @@ def _assemble(
     if n > 63:
         raise ResourceLimitError(f"{n} variables exceed the engine's limit of 63")
     space = _KeySpace(I.generators)
-    keys, table = _closure(space)
+    keys, table = _closure(space, keys_only=n > 6)
     if n <= 6 and table is not None:
         cells = _table_cells(space, keys, table, entries is not None)
     else:  # the mask route: divisibility in ranks read off the keys
@@ -549,9 +579,15 @@ def _assemble(
         )
     totals = [[1] + [0] * n for _ in fields]
     groups = []
+    moved: dict[int, int] = {}  # a face over the space's axes -> over the variables
     for count, faces, group in cells:
         if reduce(and_, faces):  # a cone
             continue
+        if space.order is not None:  # the homology cache sees the ideal's variables
+            for face in faces:
+                if face not in moved:
+                    moved[face] = sum(1 << j for i, j in enumerate(space.order) if face >> i & 1)
+            faces = tuple(sorted([moved[face] for face in faces]))
         dims_per_field = [_homology_dims_cached(n, faces, F.characteristic) for F in fields]
         if not any(map(any, dims_per_field)):
             continue

@@ -253,6 +253,28 @@ def _check_minimalize_past_int64():
         _assert_minimalize_matches_reference(gens)
 
 
+def test_minimal_divides_in_the_narrowest_dtype(monkeypatch):
+    # With mixed degrees the numpy pass compares in the narrowest unsigned
+    # dtype that holds the largest degree: uint8 up to 255, uint16 from 256
+    # to 65,535, uint32 from 65,536.  One dtype too narrow would wrap x^top
+    # to x^0, whose degree 0 nothing divides, so it would stay beside x.
+    monkeypatch.setattr(monomial_core, "_SMALL", 0)
+    rng = random.Random(20272)
+    for top in (255, 256, 65535, 65536):
+        fixed = [(top, 0, 0), (1, 0, 0), (0, top, 0), (0, top - 1, 1), (0, 2, top - 2)]
+        assert minimalize(fixed) == ((1, 0, 0), (0, 2, top - 2), (0, top - 1, 1), (0, top, 0))
+        for _ in range(20):
+            gens = fixed[2:] + [
+                tuple(rng.choice((0, 1, 2, top // 4, top // 3)) for _ in range(3))
+                for _ in range(rng.randint(1, 30))
+            ]
+            assert max(map(sum, gens)) == top
+            _assert_minimalize_matches_reference(gens)
+        ideal = MonomialIdeal.from_generators("xyz", [(top // 2, 0, 0), (1, 1, 0), (0, 0, 2)])
+        for k in (1, 2):
+            assert power(ideal, k) == _power_reference(ideal, k), (top, k)
+
+
 def test_product_and_power_past_int64(monkeypatch):
     for small in BOTH_PATHS:
         monkeypatch.setattr(monomial_core, "_SMALL", small)

@@ -270,6 +270,76 @@ def test_large_faces_take_the_nerve_time_alarms():
         assert table.totals == taylor_betti(ideal, field) == (1, 3, 3, 1) + (0,) * 60
 
 
+def _five_in_twelve():
+    # 5 generators in 12 variables: at most 2^5 - 1 = 31 lattice points in a
+    # dense key space of 14,745,600 cells.
+    return parse_ideal(
+        "vars: x1 x2 x3 x4 x5 x6 x7 x8 x9 x10 x11 x12; gens:"
+        " x1*x3*x4^4*x5*x7^2*x9^2*x10*x11^3*x12^4,"
+        " x2*x3*x4^3*x5^4*x6^2*x8^2*x9^4*x10^2*x12,"
+        " x1*x2^3*x3^3*x5^2*x7^4*x8^3*x9*x10^3*x11,"
+        " x1^2*x2^2*x3^4*x4^3*x5*x7*x10^4*x11^2*x12^3,"
+        " x1^4*x2^4*x3^2*x4*x5*x6^4*x7*x8*x9^3*x10^2*x11^2*x12"
+    )
+
+
+def test_mask_route_joins_few_generators_time_alarm(monkeypatch):
+    # A regression alarm, not a benchmark.  The mask route reads only the
+    # lattice keys, so it closes them by joins when the generators' at most
+    # 2^m - 1 points times m joins are fewer than the grid's cells: here 155
+    # against 14,745,600.  Building the grid table took betti_totals 0.10-0.13 s
+    # on a 2-CPU host; the joins take about 1 ms.
+    ideal = _five_in_twelve()
+    space = resolution_engine._KeySpace(ideal.generators)
+    assert space.dense and space.size == 14_745_600
+    grids = []
+    grid_table = resolution_engine._grid_table
+    monkeypatch.setattr(
+        resolution_engine, "_grid_table", lambda space: grids.append(1) or grid_table(space)
+    )
+    fields = [RATIONALS, GF2]
+    start = time.perf_counter()
+    totals = betti_totals(ideal, fields)
+    elapsed = time.perf_counter() - start
+    assert totals == taylor_betti(ideal, fields)
+    assert not grids
+    assert elapsed < 0.05, f"took {elapsed:.3f}s"
+
+
+def test_mask_route_closures_agree_with_the_rule_forced_either_way():
+    # On the mask route the grid table and the join closure find the same
+    # keys, so the Betti tables are the same whichever closure the rule
+    # picks.  The 5-generator ideal's grid is only compared by its keys.
+    rng = random.Random(20271)
+    ideals = [_seven_cycle(), power(_seven_cycle(), 2)]
+    for _ in range(16):
+        n = rng.randint(7, 8)
+        gens = [tuple(rng.randint(0, 2) for _ in range(n)) for _ in range(rng.randint(2, 5))]
+        if (0,) * n not in gens:
+            ideals += powers(MonomialIdeal.from_generators([f"x{i}" for i in range(n)], gens), 2)
+    picks = {"joins": 0, "grid": 0}
+    for ideal in [_five_in_twelve(), *ideals]:
+        space = resolution_engine._KeySpace(ideal.generators)
+        assert space.dense
+        keys, _ = resolution_engine._closure(space, keys_only=True)
+        assert np.array_equal(keys, resolution_engine._grid_table(space)[0])
+        assert np.array_equal(keys, resolution_engine._join_closure(space))
+        m = len(ideal.generators)
+        picks["joins" if ((1 << m) - 1) * m < space.size else "grid"] += 1
+    assert min(picks.values()) >= 5, picks
+    for ideal in ideals:
+        expected = {F: betti_table(ideal, F) for F in (RATIONALS, GF2)}
+        for forced in (
+            lambda space, keys_only=False: resolution_engine._grid_table(space),
+            lambda space, keys_only=False: (resolution_engine._join_closure(space), None),
+        ):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(resolution_engine, "_closure", forced)
+                for F, table in expected.items():
+                    assert betti_table(ideal, F).entries == table.entries
+                    assert betti_totals(ideal, F) == table.totals
+
+
 def test_antichain_of_maximal_faces():
     assert _maximal_masks([0b011, 0b001, 0b100, 0b011]) == (0b011, 0b100)
     assert _maximal_masks([0b000, 0b010]) == (0b010,)
@@ -842,27 +912,41 @@ def test_homology_above_the_ambient_dimension_names_its_multidegree(monkeypatch)
 def test_betti_data_are_invariant_under_relabelling():
     # Permuting the variables is an automorphism of S: it moves each
     # beta_{i,a}(S/I^k) to the permuted multidegree and keeps the totals, so
-    # a scan computes one ideal per relabelling.  In 7 variables the mask
-    # route runs, below that the table route.
+    # a scan computes one ideal per relabelling.  In 7 and 8 variables the
+    # mask route runs, below that the table route.  The key space sorts its
+    # axes by radix, largest outermost and ties in the ideal's order, so a
+    # permutation moves the space's axes but nothing that leaves the engine:
+    # lattice rows and decoded keys are in the ideal's own variable order.
     fields = (RATIONALS, GF2, CoefficientField(3))
     rng = random.Random(20200)
-    checked = {"table": 0, "mask": 0}
-    for ideal in _random_ideals(rng, 60, 2, 4, max_vars=7):
+    checked = {"table": 0, "mask": 0, "moved axes": 0}
+    for ideal in _random_ideals(rng, 60, 2, 4, max_vars=8):
         n = ideal.nvars
-        perm = rng.sample(range(n), n)
-        moved = MonomialIdeal.from_generators(
-            ideal.variables, [tuple(g[j] for j in perm) for g in ideal.generators]
-        )
-        for ideal_k, moved_k in zip(powers(ideal, 3), powers(moved, 3)):
-            for field in fields:
-                table, moved_table = betti_table(ideal_k, field), betti_table(moved_k, field)
-                assert moved_table.entries == {
-                    (i, tuple(a[j] for j in perm)): b for (i, a), b in table.entries.items()
-                }
-                assert moved_table.totals == table.totals
-                assert betti_totals(moved_k, field) == betti_totals(ideal_k, field) == table.totals
-            checked["mask" if n == 7 else "table"] += 1
-    assert checked["mask"] > 10 and checked["table"] > 100
+        for perm in (rng.sample(range(n), n) for _ in range(2)):
+            moved = MonomialIdeal.from_generators(
+                ideal.variables, [tuple(g[j] for j in perm) for g in ideal.generators]
+            )
+            for ideal_k, moved_k in zip(powers(ideal, 3), powers(moved, 3)):
+                for field in fields:
+                    table, moved_table = betti_table(ideal_k, field), betti_table(moved_k, field)
+                    assert moved_table.entries == {
+                        (i, tuple(a[j] for j in perm)): b for (i, a), b in table.entries.items()
+                    }
+                    assert moved_table.totals == table.totals
+                    totals = betti_totals(moved_k, field), betti_totals(ideal_k, field)
+                    assert totals == (table.totals, table.totals)
+                lattice = _rows(lcm_lattice(moved_k))
+                assert all(a < b for a, b in zip(lattice, lattice[1:]))
+                assert lattice == lcm_lattice_reference(moved_k)
+                space = resolution_engine._KeySpace(moved_k.generators)
+                radices = [len(set(column)) for column in zip(*moved_k.generators)]
+                order = sorted(range(n), key=lambda j: -radices[j])
+                assert space.order == (None if order == list(range(n)) else order)
+                assert space.radices == [radices[j] for j in order]
+                assert _rows(space.decode(space.generator_keys)) == list(moved_k.generators)
+                checked["mask" if n >= 7 else "table"] += 1
+                checked["moved axes"] += space.order is not None
+    assert checked["mask"] > 50 and checked["table"] > 200 and checked["moved axes"] > 100, checked
 
 
 def test_dense_betti_table_time_alarm():
