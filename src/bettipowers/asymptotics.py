@@ -209,20 +209,6 @@ def kodiyalam_profile(
     )
 
 
-def closed_form_regular_sequence(n: int, k: int) -> tuple[int, ...]:
-    """Betti totals of S/I^k for I generated by a regular sequence of length n.
-
-    The resolution of I^k is an Eagon-Northcott style complex, giving
-    beta_i = C(k+n-1, n-i) * C(k-2+i, i-1) for 1 <= i <= n and beta_0 = 1.
-    """
-    if n < 1 or k < 1:
-        raise ValueError("n and k must be positive")
-    row = [1]
-    for i in range(1, n + 1):
-        row.append(math.comb(k + n - 1, n - i) * math.comb(k - 2 + i, i - 1))
-    return tuple(row)
-
-
 def closed_form_profile(n: int) -> KodiyalamProfile:
     """Exact profile of a length-n regular sequence, from the closed form.
 

@@ -323,29 +323,6 @@ def is_artinian(I: MonomialIdeal) -> bool:
     return len(_pure_powers(I)) == I.nvars
 
 
-def socle_dimension(I: MonomialIdeal) -> int:
-    """Dimension of the socle of S/I for Artinian I.
-
-    Counts monomials u outside I with u*x_i inside I for every variable; the
-    enumeration runs over the finite box spanned by the pure-power generators.
-    """
-    pure = _pure_powers(I)
-    n = I.nvars
-    if len(pure) != n:
-        raise ValueError("socle enumeration requires an Artinian ideal")
-    bounds = [pure[i] for i in range(n)]
-    count = 0
-    for u in itertools.product(*(range(b) for b in bounds)):
-        if I.contains(u):
-            continue
-        if all(
-            I.contains(u[:i] + (u[i] + 1,) + u[i + 1:])
-            for i in range(n)
-        ):
-            count += 1
-    return count
-
-
 def generator_degree_profile(I: MonomialIdeal) -> tuple[bool, Optional[int]]:
     """Whether all minimal generators share one total degree, and that degree."""
     degrees = {sum(g) for g in I.generators}

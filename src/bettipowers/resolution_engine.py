@@ -12,20 +12,20 @@ distinct values on each axis, and closes the lattice once per call.  The key
 space orders its axes by radix, largest outermost, and key order is
 lexicographic order over that axis order; decoded points, lcm_lattice rows
 and the faces the homology sees are in the ideal's own variable order.  When
-that key space has at most GRID_CAP keys (it is dense), one table over the
-key grid holds both the lattice and the generators' up-closure; otherwise,
-or on the mask route when m generators' 2^m - 1 possible points times m
-joins are fewer than the keys, the closure joins points into sorted runs.
-Both enforce DEFAULT_LATTICE_CAP on the points.  Two routes only classify
-the points' complexes by their maximal faces: in at most 6 variables and a
-dense key space, from a 2^n-bit face code per point read from that table,
-one group per distinct code (the table route); otherwise from the generators
-that divide each point, compared in ranks read off its key (the mask route).
-One downstream skips cones, runs the homology once per field and complex,
-and adds the totals; the homology lists the faces of the complex or of the
-nerve of its maximal faces, whichever is fewer.  The two routes give the
-same tables.  Only betti_table decodes points, those with homology, in one
-call.
+that key space has at most GRID_CAP keys (it is dense), and no more than one
+grid batch or the joins m generators can make (min(2^m - 1, the lattice cap)
+points times m), one table over the key grid holds both the lattice and the
+generators' up-closure; otherwise the closure joins points into sorted runs.
+Both enforce DEFAULT_LATTICE_CAP on the points.  Two routes only classify the
+points' complexes by their maximal faces: in at most 6 variables when the
+grid table closed the lattice, from a 2^n-bit face code per point read from
+that table, one group per distinct code (the table route); otherwise from
+the generators that divide each point, compared in ranks read off its key
+(the mask route).  One downstream skips cones, runs the homology once per
+field and complex, and adds the totals; the homology lists the faces of the
+complex or of the nerve of its maximal faces, whichever is fewer.  The two
+routes give the same tables.  Only betti_table decodes points, those with
+homology, in one call.
 """
 from __future__ import annotations
 
@@ -254,10 +254,10 @@ class _KeySpace:
     the identity), so the grid's strided axes are its smallest; radices,
     weights and ranks follow that order, and key order is lexicographic order
     over it.  The space is dense when its size, the radix product, is at most
-    GRID_CAP: keys are then int32 and the lattice is read from one table
-    indexed by key.  Beyond that bound keys are int64 while the radix product
-    is below 2^63, and exact Python ints (an object array) past it.  Raises
-    ResourceLimitError when an exponent does not fit in int64.
+    GRID_CAP: keys are then int32, and one table indexed by key may close
+    the lattice (see _closure).  Beyond that bound keys are int64 while the
+    radix product is below 2^63, and exact Python ints (an object array) past
+    it.  Raises ResourceLimitError when an exponent does not fit in int64.
     """
 
     def __init__(self, gens: Sequence[ExponentVector]):
@@ -339,7 +339,7 @@ def _grid_table(space: _KeySpace) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _join_closure(space: _KeySpace) -> np.ndarray:
-    """Sorted keys of the join-closure of a key space that is not dense.
+    """Sorted keys of the join-closure of a key space.
 
     The keys found are kept as sorted runs, and ResourceLimitError is raised
     as soon as a join is added beyond DEFAULT_LATTICE_CAP points.
@@ -389,15 +389,14 @@ def _join_closure(space: _KeySpace) -> np.ndarray:
     return keys
 
 
-def _closure(
-    space: _KeySpace, keys_only: bool = False
-) -> tuple[np.ndarray, np.ndarray | None]:
-    # The sorted keys of the lattice, and the grid table if the space is dense.
-    # With m generators the lattice has at most 2^m - 1 points, each joined
-    # with m generators; a caller that reads only the keys gets them by joins
-    # when that is below the grid's cell count.
+def _closure(space: _KeySpace) -> tuple[np.ndarray, np.ndarray | None]:
+    # The sorted keys of the lattice, and the grid table if that closed it.
+    # m generators make at most min(2^m - 1, DEFAULT_LATTICE_CAP) points, each
+    # joined with m generators, before the closure ends or raises; the grid is
+    # swept when its cells are no more than those joins or one grid batch.
     m = len(space.generator_keys)
-    if space.dense and not (keys_only and ((1 << m) - 1) * m < space.size):
+    most = max(_CHUNK_CELLS, min((1 << m) - 1, DEFAULT_LATTICE_CAP) * m)
+    if space.dense and space.size <= most:
         return _grid_table(space)
     return _join_closure(space), None
 
@@ -569,7 +568,7 @@ def _assemble(
     if n > 63:
         raise ResourceLimitError(f"{n} variables exceed the engine's limit of 63")
     space = _KeySpace(I.generators)
-    keys, table = _closure(space, keys_only=n > 6)
+    keys, table = _closure(space)
     if n <= 6 and table is not None:
         cells = _table_cells(space, keys, table, entries is not None)
     else:  # the mask route: divisibility in ranks read off the keys

@@ -13,9 +13,10 @@ permuting them keeps every beta_i(S/I^k), and with the scan's kmax, guard and
 field those decide a record but its index, generators and timing.  The memo
 key (_relabelled) is itself a relabelling, so a hit is exact; it gets the
 first record of its key under its own index and generators (memo bounded by
-SCAN_MEMO_CAP keys).  An engine fault's message can name a multidegree, so an
-"error" record is reused only for identical generators.  timing_seconds is
-the time actually spent on each record, so repeats report about 0.
+SCAN_MEMO_CAP keys).  An "error" record, an engine fault that a correct
+engine never makes, is not kept, so each draw of its ideal computes it
+again.  timing_seconds is the time actually spent on each record, so repeats
+report about 0.
 """
 from __future__ import annotations
 
@@ -46,9 +47,8 @@ from .verdicts import FAILS, VerdictReport, full_report
 
 RECORD_SEED_STRIDE = 1_000_003
 
-# Memo keys (relabelling classes, and the ideals of a class whose first
-# record is an engine fault) one run_scan call keeps outcomes for (about
-# 0.5 KB of JSON text each in three variables); read at call time.
+# Relabelling classes one run_scan call keeps outcomes for (about 0.5 KB of
+# JSON text each in three variables); read at call time.
 SCAN_MEMO_CAP = 1024
 
 
@@ -223,27 +223,20 @@ def _relabelled(generators: tuple) -> tuple:
 
 
 def run_scan(params: ScanParameters) -> Iterator[ScanRecord]:
-    # The memo maps a key to (whether its record is an engine fault, its
-    # outcome), the text written before the record is yielded, so a caller
-    # that edits a yielded record cannot change later ones.  A key whose
-    # first record is an engine fault keeps each ideal's outcome under
-    # (key, generators).
-    memo: dict[tuple, tuple[bool, str]] = {}
+    # The memo maps a key to its outcome, the text written before the record
+    # is yielded, so a caller that edits a yielded record cannot change later
+    # ones.
+    memo: dict[tuple, str] = {}
     for index in range(params.count):
         ideal = _record_ideal(params, index)
         key = _relabelled(ideal.generators)
-        exact = (key, ideal.generators)
-        first = memo.get(key)
-        if first is not None and first[0]:
-            first = memo.get(exact)
-        if first is not None:
-            yield _reindexed(params, first[1], index, ideal.generators)
+        outcome = memo.get(key)
+        if outcome is not None:
+            yield _reindexed(params, outcome, index, ideal.generators)
             continue
         record = scan_record(params, index, ideal)
-        if len(memo) < SCAN_MEMO_CAP:
-            kept = (record.profile["status"] == "error", _outcome(record))
-            if memo.setdefault(key, kept)[0]:
-                memo[exact] = kept
+        if len(memo) < SCAN_MEMO_CAP and record.profile["status"] != "error":
+            memo[key] = _outcome(record)
         yield record
 
 

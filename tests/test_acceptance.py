@@ -16,12 +16,11 @@ from bettipowers.asymptotics import (
     KodiyalamProfile,
     betti_series,
     closed_form_profile,
-    closed_form_regular_sequence,
     default_kmax,
     kodiyalam_profile,
 )
 from bettipowers.cli import main as cli_main
-from bettipowers.monomial_core import parse_ideal, power, socle_dimension
+from bettipowers.monomial_core import parse_ideal, power
 from bettipowers.polynomials import RationalPolynomial
 from bettipowers.resolution_engine import (
     RATIONALS,
@@ -33,6 +32,7 @@ from bettipowers.resolution_engine import (
 from bettipowers.spectra import betti_polynomial_at
 from bettipowers.verdicts import conjecture_check
 
+from _closed_forms import closed_form_regular_sequence, socle_dimension
 from _fixtures import FIXTURE_DIR, fixture_ideal
 from _limit_theorem import verify_limit_theorem
 

@@ -12,7 +12,6 @@ from bettipowers.asymptotics import (
     ProfileInvariantError,
     betti_series,
     closed_form_profile,
-    closed_form_regular_sequence,
     default_kmax,
     fit_polynomial,
     kodiyalam_profile,
@@ -22,6 +21,7 @@ from bettipowers.polynomials import RationalPolynomial
 from bettipowers.resolution_engine import RATIONALS, betti_table
 from bettipowers.spectra import RootFindingError
 
+from _closed_forms import closed_form_regular_sequence
 from _fixtures import fixture_ideal
 
 QUADRATIC = RationalPolynomial.from_coefficients([-7, 4, 3])

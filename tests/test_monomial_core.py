@@ -18,9 +18,9 @@ from bettipowers.monomial_core import (
     power,
     powers,
     product,
-    socle_dimension,
 )
 
+from _closed_forms import socle_dimension
 from _fixtures import FIXTURE_DIR, fixture_ideal
 from _power_reference import minimalize_reference
 

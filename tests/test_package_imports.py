@@ -21,8 +21,6 @@ TRACER = PERFBENCH / "tracer.py"
 # Public names with no caller in the package yet, each with the ROADMAP item
 # that gives it one.
 AWAITING_CALLERS = {
-    "closed_form_regular_sequence": "item 5: the oracles module",
-    "socle_dimension": "item 5: the 3-variable Artinian oracle",
     "real_root_multiplicities": "item 2(a): Yun factors before the root finder",
 }
 

@@ -283,55 +283,76 @@ def _five_in_twelve():
     )
 
 
+def _count_closures(monkeypatch):
+    # The calls of each closure from now on, by name.
+    calls = dict.fromkeys(("_grid_table", "_join_closure"), 0)
+    for name in calls:
+        original = getattr(resolution_engine, name)
+
+        def counting(space, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(space)
+
+        monkeypatch.setattr(resolution_engine, name, counting)
+    return calls
+
+
 def test_mask_route_joins_few_generators_time_alarm(monkeypatch):
-    # A regression alarm, not a benchmark.  The mask route reads only the
-    # lattice keys, so it closes them by joins when the generators' at most
-    # 2^m - 1 points times m joins are fewer than the grid's cells: here 155
-    # against 14,745,600.  Building the grid table took betti_totals 0.10-0.13 s
-    # on a 2-CPU host; the joins take about 1 ms.
+    # A regression alarm, not a benchmark.  The closure joins when the
+    # generators' at most 2^m - 1 points times m joins are fewer than the
+    # grid's cells and the cells fill more than one grid batch: here 155
+    # joins against 14,745,600 cells.  Building the grid table took
+    # betti_totals 0.10-0.13 s on a 2-CPU host; the joins take about 1 ms.
     ideal = _five_in_twelve()
     space = resolution_engine._KeySpace(ideal.generators)
     assert space.dense and space.size == 14_745_600
-    grids = []
-    grid_table = resolution_engine._grid_table
-    monkeypatch.setattr(
-        resolution_engine, "_grid_table", lambda space: grids.append(1) or grid_table(space)
-    )
+    closures = _count_closures(monkeypatch)
     fields = [RATIONALS, GF2]
     start = time.perf_counter()
     totals = betti_totals(ideal, fields)
     elapsed = time.perf_counter() - start
     assert totals == taylor_betti(ideal, fields)
-    assert not grids
+    assert closures["_grid_table"] == 0
     assert elapsed < 0.05, f"took {elapsed:.3f}s"
 
 
 def test_mask_route_closures_agree_with_the_rule_forced_either_way():
-    # On the mask route the grid table and the join closure find the same
-    # keys, so the Betti tables are the same whichever closure the rule
-    # picks.  The 5-generator ideal's grid is only compared by its keys.
+    # The grid table and the join closure find the same keys, so the Betti
+    # tables are the same whichever closure the rule picks; below 7
+    # variables a forced grid takes the table route and forced joins the
+    # mask route.  Joins below 7 variables need a key space past one grid
+    # batch, so those draws take exponents up to 9.  The 5-generator ideal's
+    # grid is only compared by its keys.
     rng = random.Random(20271)
     ideals = [_seven_cycle(), power(_seven_cycle(), 2)]
-    for _ in range(16):
-        n = rng.randint(7, 8)
-        gens = [tuple(rng.randint(0, 2) for _ in range(n)) for _ in range(rng.randint(2, 5))]
-        if (0,) * n not in gens:
-            ideals += powers(MonomialIdeal.from_generators([f"x{i}" for i in range(n)], gens), 2)
-    picks = {"joins": 0, "grid": 0}
+    for n_range, max_exp, gens_range, draws in (((7, 8), 2, (2, 5), 16), ((1, 6), 9, (3, 3), 12)):
+        for _ in range(draws):
+            n = rng.randint(*n_range)
+            gens = [
+                tuple(rng.randint(0, max_exp) for _ in range(n))
+                for _ in range(rng.randint(*gens_range))
+            ]
+            if (0,) * n not in gens:
+                ideal = MonomialIdeal.from_generators([f"x{i}" for i in range(n)], gens)
+                ideals += powers(ideal, 3)
+    picks = {(small, pick): 0 for small in (True, False) for pick in ("joins", "grid")}
     for ideal in [_five_in_twelve(), *ideals]:
         space = resolution_engine._KeySpace(ideal.generators)
         assert space.dense
-        keys, _ = resolution_engine._closure(space, keys_only=True)
+        keys, table = resolution_engine._closure(space)
         assert np.array_equal(keys, resolution_engine._grid_table(space)[0])
         assert np.array_equal(keys, resolution_engine._join_closure(space))
         m = len(ideal.generators)
-        picks["joins" if ((1 << m) - 1) * m < space.size else "grid"] += 1
+        most = min((1 << m) - 1, resolution_engine.DEFAULT_LATTICE_CAP) * m
+        joins = space.size > max(resolution_engine._CHUNK_CELLS, most)
+        assert (table is None) == joins
+        picks[ideal.nvars <= 6, "joins" if joins else "grid"] += 1
     assert min(picks.values()) >= 5, picks
     for ideal in ideals:
         expected = {F: betti_table(ideal, F) for F in (RATIONALS, GF2)}
         for forced in (
-            lambda space, keys_only=False: resolution_engine._grid_table(space),
-            lambda space, keys_only=False: (resolution_engine._join_closure(space), None),
+            resolution_engine._grid_table,
+            lambda space: (resolution_engine._join_closure(space), None),
         ):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(resolution_engine, "_closure", forced)
@@ -353,14 +374,24 @@ def _rows(lattice):
     return list(map(tuple, lattice.tolist()))
 
 
+def _grid_when_dense(space):
+    # The closure forced to the grid table wherever the key space is dense.
+    if space.dense:
+        return resolution_engine._grid_table(space)
+    return resolution_engine._join_closure(space), None
+
+
 def _capped_lattice(ideal, cap, closure=False):
-    # lcm_lattice under a lattice cap of cap points; with closure, under a
-    # grid bound of cap cells too, so that a key space larger than the
-    # lattice is closed by sorted runs instead of the grid table.
+    # lcm_lattice under a lattice cap of cap points.  Without closure a dense
+    # key space is read from the grid table, whichever closure the rule
+    # picks; with closure, a grid bound of cap cells makes a key space larger
+    # than the lattice sparse, so it is closed by sorted runs.
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(resolution_engine, "DEFAULT_LATTICE_CAP", cap)
         if closure:
             mp.setattr(resolution_engine, "GRID_CAP", cap)
+        else:
+            mp.setattr(resolution_engine, "_closure", _grid_when_dense)
         return lcm_lattice(ideal)
 
 
@@ -381,7 +412,7 @@ def _lattice_or_error(lattice, ideal, cap):
 
 def _dense(ideal):
     # Whether the key space is dense under the current grid bound, so the
-    # lattice comes from the grid table rather than from sorted runs.
+    # lattice can come from the grid table rather than from sorted runs.
     return resolution_engine._KeySpace(ideal.generators).dense
 
 
@@ -390,9 +421,9 @@ def _assert_lattice_matches_reference(ideal):
     assert _rows(lcm_lattice(ideal)) == expected
     # The cap admits a lattice of exactly as many points, and rejects a
     # larger one once joins beyond the generators pass it, on the grid table
-    # and on the sorted-runs closure.  With two or more generators the radix
-    # product exceeds the lattice size, so a grid bound at the cap runs the
-    # closure where the default bound may read the grid table.
+    # (forced on a dense key space) and on the sorted-runs closure.  With two
+    # or more generators the radix product exceeds the lattice size, so a
+    # grid bound at the cap makes the key space sparse.
     radices = [len(set(column)) for column in zip(*ideal.generators)]
     assert (math.prod(radices) > len(expected)) == (len(ideal.generators) > 1)
     cap = len(expected) - 1
@@ -567,19 +598,38 @@ def test_lcm_lattice_keys_near_the_int64_limit():
 
 
 def test_lcm_lattice_cap_far_below_the_lattice(monkeypatch):
-    # The maximal ideal in 24 variables has 2^24 - 1 lattice points.  Its
-    # 2^24 keys are within GRID_CAP, so the whole grid table is built (about
-    # 0.6 s on a 2-CPU host) before the cap stops the search for its keys.
+    # A regression alarm, not a benchmark.  The maximal ideal in 24 variables
+    # has 2^24 - 1 lattice points and 2^24 keys, within GRID_CAP, but with the
+    # cap at 1,000 its closure can make at most 1,000 * 24 joins, so the
+    # closure stops at the cap without the grid table (which took about 0.6 s
+    # on a 2-CPU host).
     n = 24
     ideal = MonomialIdeal.from_generators(
         [f"x{i}" for i in range(n)], [tuple(int(i == j) for j in range(n)) for i in range(n)]
     )
     monkeypatch.setattr(resolution_engine, "DEFAULT_LATTICE_CAP", 1000)
+    closures = _count_closures(monkeypatch)
     start = time.perf_counter()
     with pytest.raises(ResourceLimitError) as err:
         lcm_lattice(ideal)
+    elapsed = time.perf_counter() - start
     assert str(err.value) == "lcm lattice exceeds cap of 1000 elements"
-    assert time.perf_counter() - start < 1.0
+    assert closures["_grid_table"] == 0
+    assert elapsed < 0.05, f"took {elapsed:.3f}s"
+
+
+def test_lcm_lattice_joins_few_generators_time_alarm(monkeypatch):
+    # A regression alarm, not a benchmark.  lcm_lattice closes by the same
+    # rule as the Betti engine: 155 joins against 14,745,600 grid cells.  The
+    # grid table took it 0.18-0.24 s on a 2-CPU host; the joins take about 1 ms.
+    ideal = _five_in_twelve()
+    closures = _count_closures(monkeypatch)
+    start = time.perf_counter()
+    rows = _rows(lcm_lattice(ideal))
+    elapsed = time.perf_counter() - start
+    assert rows == lcm_lattice_reference(ideal)
+    assert closures["_grid_table"] == 0
+    assert elapsed < 0.05, f"took {elapsed:.3f}s"
 
 
 def _upper_koszul_reference(I, a):
@@ -835,16 +885,12 @@ def test_betti_totals_over_several_fields_equals_one_call_per_field(monkeypatch)
     fields = [RATIONALS, GF2, CoefficientField(3), CoefficientField(5)]
     ideals = [fixture_ideal("rp2"), power(fixture_ideal("mixed6"), 2), *powers(_seven_cycle(), 3)]
     ideals += list(_random_ideals(random.Random(20221), 20, 3, 6, max_vars=6))
-    grids = []
-    grid_table = resolution_engine._grid_table
-    monkeypatch.setattr(
-        resolution_engine, "_grid_table", lambda space: grids.append(1) or grid_table(space)
-    )
+    closures = _count_closures(monkeypatch)
     for ideal in ideals:
         expected = [betti_table(ideal, field).totals for field in fields]
-        del grids[:]
+        closures.update(dict.fromkeys(closures, 0))
         assert betti_totals(ideal, fields) == expected, ideal
-        assert len(grids) == 1
+        assert sum(closures.values()) == 1
         if len(ideal.generators) > 1:
             with _mask_route(ideal):
                 assert betti_totals(ideal, fields) == expected, ideal

@@ -52,9 +52,9 @@ def test_every_name_the_benchmark_imports_exists():
 
 def test_betti_table_calls_its_traced_layers(monkeypatch):
     # betti_table closes the lattice once, with _grid_table when the key
-    # space is dense and _join_closure otherwise, and hands its keys to the
-    # route that classifies them; the mask route, which reads only the keys,
-    # joins when m generators' at most 2^m - 1 points times m are below the cells.
+    # space is dense and has no more cells than one grid batch or m
+    # generators' at most 2^m - 1 points times m joins, and _join_closure
+    # otherwise, and hands its keys to the route that classifies them.
     # Neither route calls lcm_lattice, so the traced lcm_lattice reads 0 on
     # every input.
     calls = dict.fromkeys(
@@ -74,10 +74,12 @@ def test_betti_table_calls_its_traced_layers(monkeypatch):
     assert calls["_join_closure"] == calls["lcm_lattice"] == 0
     assert calls["_homology_dims_cached"] > 0
     calls.update(dict.fromkeys(calls, 0))
-    # In 7 variables, 3 generators make at most 7 points (21 joins against
-    # 128 cells), and the 7 of the 7-cycle at most 127 (889 joins).
-    seven = parse_ideal("vars: a b c d e f g; gens: a*b, c*d, e*f*g")
-    assert resolution_engine.betti_table(seven).totals == (1, 3, 3, 1, 0, 0, 0, 0)
+    # In 16 variables, 3 generators make at most 7 points (21 joins against
+    # 65,536 cells); in 7 the 128 cells of the 7-cycle fit in one grid batch.
+    sixteen = parse_ideal(
+        "vars: a b c d e f g h i j k l m n o p; gens: a*b*c*d*e, f*g*h*i*j, k*l*m*n*o*p"
+    )
+    assert resolution_engine.betti_table(sixteen).totals == (1, 3, 3, 1) + (0,) * 13
     assert calls["_join_closure"] == 1
     assert calls["_grid_table"] == calls["lcm_lattice"] == 0
     assert calls["_homology_dims_cached"] > 0
