@@ -65,19 +65,18 @@ def _minimal(T: np.ndarray) -> tuple[ExponentVector, ...]:
     degree divide each other only when they are equal.  So, sorted by
     (degree, lex), a vector is minimal iff no vector of strictly smaller
     degree divides it, and those all lie in the sorted prefix before its
-    degree class; when every vector has one degree, none is tested.  Before
-    the test, equal neighbours are dropped so it sees each vector once; it
-    runs one comparison per variable over batches of at most _CHUNK_CELLS
-    vectors x prefix cells, in the narrowest unsigned dtype that holds the
-    largest degree (so every entry) unless T holds exact Python ints.  Equal
-    vectors left over are dropped last.
+    degree class; when every vector has one degree, none is tested.  Equal
+    neighbours are dropped once, right after the sort, so the test sees each
+    vector once; it runs one comparison per variable over batches of at most
+    _CHUNK_CELLS vectors x prefix cells, in the narrowest unsigned dtype that
+    holds the largest degree (so every entry) unless T holds exact Python ints.
     """
     T = T[:, np.lexsort(T[::-1])]
+    fresh = np.ones(T.shape[1], dtype=bool)
+    np.logical_or.reduce(T[:, 1:] != T[:, :-1], axis=0, out=fresh[1:])
+    T = T[:, fresh]
     deg = T[0]
     if deg[0] < deg[-1]:
-        fresh = np.ones(len(deg), dtype=bool)
-        np.logical_or.reduce(T[:, 1:] != T[:, :-1], axis=0, out=fresh[1:])
-        T = T[:, fresh]
         if T.dtype != object:
             T = T.astype(np.min_scalar_type(T[0, -1]))
         deg = T[0]
@@ -94,7 +93,7 @@ def _minimal(T: np.ndarray) -> tuple[ExponentVector, ...]:
                 D &= a <= b
             np.logical_or.reduce(D, axis=1, out=divided[start:stop])
         T = T[:, ~divided]
-    return tuple(dict.fromkeys(map(tuple, T[1:].T.tolist())))
+    return tuple(map(tuple, T[1:].T.tolist()))
 
 
 def _minimal_rows(rows: list[tuple[int, ...]]) -> tuple[ExponentVector, ...]:
@@ -230,17 +229,19 @@ def parse_ideal(text: str) -> MonomialIdeal:
         raise IdealSyntaxError("input must start with 'vars:'", 0)
     variables: list[str] = []
     while peek() not in (";", ""):
-        name = take()
+        name = peek()
         if not name[0].isalpha() and name[0] != "_":
             raise fail(f"invalid variable name {name!r}")
         if name in variables:
             raise fail(f"duplicate variable {name!r}")
-        variables.append(name)
+        variables.append(take())
     if not variables:
         raise fail("no variables declared")
     take(";")
-    if take() != "gens" or take(":") != ":":
+    if peek() != "gens":
         raise fail("expected 'gens:' after the variable list")
+    take("gens")
+    take(":")
     index = {v: j for j, v in enumerate(variables)}
 
     def parse_monomial() -> ExponentVector:

@@ -12,10 +12,10 @@ distinct values on each axis, and closes the lattice once per call.  The key
 space orders its axes by radix, largest outermost, and key order is
 lexicographic order over that axis order; decoded points, lcm_lattice rows
 and the faces the homology sees are in the ideal's own variable order.  When
-that key space has at most GRID_CAP keys (it is dense), and no more than one
-grid batch or the joins m generators can make (min(2^m - 1, the lattice cap)
-points times m), one table over the key grid holds both the lattice and the
-generators' up-closure; otherwise the closure joins points into sorted runs.
+that key space has at most GRID_CAP keys, and no more than one grid batch or
+the joins m generators can make (min(2^m - 1, the lattice cap) points times
+m), one table over the key grid holds both the lattice and the generators'
+up-closure; otherwise the closure joins points into sorted runs.
 Both enforce DEFAULT_LATTICE_CAP on the points.  Two routes only classify the
 points' complexes by their maximal faces: in at most 6 variables when the
 grid table closed the lattice, from a 2^n-bit face code per point read from
@@ -41,7 +41,7 @@ import numpy as np
 from .monomial_core import ExponentVector, MonomialIdeal
 
 # Size caps, read at call time: lattice points, grid-table cells (the key
-# space of a dense lattice), and Taylor generators.
+# space the grid may cover), and Taylor generators.
 DEFAULT_LATTICE_CAP = 1 << 20
 GRID_CAP = 1 << 24
 DEFAULT_TAYLOR_CAP = 16
@@ -253,11 +253,9 @@ class _KeySpace:
     largest outermost (order[i] is the variable of axis i, None when that is
     the identity), so the grid's strided axes are its smallest; radices,
     weights and ranks follow that order, and key order is lexicographic order
-    over it.  The space is dense when its size, the radix product, is at most
-    GRID_CAP: keys are then int32, and one table indexed by key may close
-    the lattice (see _closure).  Beyond that bound keys are int64 while the
-    radix product is below 2^63, and exact Python ints (an object array) past
-    it.  Raises ResourceLimitError when an exponent does not fit in int64.
+    over it.  Keys are int64 while the space's size, the radix product, is
+    below 2^63, and exact Python ints (an object array) past it.  Raises
+    ResourceLimitError when an exponent does not fit in int64.
     """
 
     def __init__(self, gens: Sequence[ExponentVector]):
@@ -273,8 +271,7 @@ class _KeySpace:
         self.values = values
         self.radices = [len(v) for v in values]
         self.size = math.prod(self.radices)
-        self.dense = self.size <= GRID_CAP
-        key = np.int32 if self.dense else np.int64 if self.size < 1 << 63 else object
+        key = np.int64 if self.size < 1 << 63 else object
         self.weights = np.array(
             [math.prod(self.radices[j + 1:]) for j in range(len(self.radices))], dtype=key
         )
@@ -298,13 +295,13 @@ class _KeySpace:
 
 
 def _grid_table(space: _KeySpace) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted keys of the join-closure of a dense key space, and its grid table.
+    """Sorted keys of the join-closure of a key space, and its grid table.
 
     A point a is a join of generators exactly when, on each axis j, some
     generator g <= a has g_j = a_j.  Cell a of the table has that bit for each
     axis of radix >= 2, and a top bit (the up-closure U) when some generator
     divides a, so the keys are the cells with every bit set; the last cell
-    stays 0.  A dense space has at most log2(GRID_CAP) = 24 such axes: uint32 cells.
+    stays 0.  A table of at most GRID_CAP cells has at most 24 such axes: uint32.
     Like _join_closure, raises ResourceLimitError when the joins beyond the
     generators take the lattice past DEFAULT_LATTICE_CAP points.
     """
@@ -331,7 +328,7 @@ def _grid_table(space: _KeySpace) -> tuple[np.ndarray, np.ndarray]:
     keys, count = [], 0
     most = max(DEFAULT_LATTICE_CAP, len(space.generator_keys))
     for at in range(0, space.size, _CHUNK_CELLS):
-        keys.append(np.flatnonzero(table[at:at + _CHUNK_CELLS] == full).astype(np.int32) + at)
+        keys.append(np.flatnonzero(table[at:at + _CHUNK_CELLS] == full) + at)
         count += len(keys[-1])
         if count > most:
             raise ResourceLimitError(f"lcm lattice exceeds cap of {DEFAULT_LATTICE_CAP} elements")
@@ -393,10 +390,11 @@ def _closure(space: _KeySpace) -> tuple[np.ndarray, np.ndarray | None]:
     # The sorted keys of the lattice, and the grid table if that closed it.
     # m generators make at most min(2^m - 1, DEFAULT_LATTICE_CAP) points, each
     # joined with m generators, before the closure ends or raises; the grid is
-    # swept when its cells are no more than those joins or one grid batch.
+    # swept when its cells are at most GRID_CAP and no more than those joins
+    # or one grid batch.
     m = len(space.generator_keys)
     most = max(_CHUNK_CELLS, min((1 << m) - 1, DEFAULT_LATTICE_CAP) * m)
-    if space.dense and space.size <= most:
+    if space.size <= min(GRID_CAP, most):
         return _grid_table(space)
     return _join_closure(space), None
 
@@ -490,8 +488,8 @@ def _face_codes(space: _KeySpace, keys: np.ndarray, table: np.ndarray) -> np.nda
     members, within, inside, _, _ = _subset_tables(n)
     # rank_j >= 1 exactly when key mod w_j * r_j is at least w_j, and
     # w_j * r_j is w_(j-1) (the size for j = 0): one remainder per axis.
-    offsets = (space.weights @ members).astype(np.int32)  # sum of w_j over F
-    spans = np.array([space.size, *space.weights.tolist()[:-1]], dtype=np.int32)
+    offsets = space.weights @ members  # sum of w_j over F
+    spans = np.array([space.size, *space.weights.tolist()[:-1]])
     codes = np.empty(len(keys), dtype=inside.dtype)
     step, wide = max(1, _CHUNK_CELLS // n), max(1, _CHUNK_CELLS >> n)
     for at in range(0, len(keys), step):
@@ -502,7 +500,8 @@ def _face_codes(space: _KeySpace, keys: np.ndarray, table: np.ndarray) -> np.nda
         rest = np.flatnonzero(table[chunk - offsets[support]] < top)
         for lo in range(0, len(rest), wide):
             part = rest[lo:lo + wide]
-            cells = np.where(within[support[part]], chunk[part, None] - offsets, space.size)
+            cells = chunk[part, None] - offsets
+            cells[~within[support[part]]] = space.size
             faces = np.packbits(table[cells] >= top, axis=1, bitorder="little")
             codes[at + part] = faces.view(codes.dtype).ravel()
     return codes

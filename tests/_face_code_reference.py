@@ -23,8 +23,8 @@ def face_codes_reference(space, keys, table):
     members = subsets >> np.arange(n)[:, None] & 1
     within = (subsets & ~subsets[:, None]) == 0  # within[s, F]: F lies in s
     code = np.dtype(f"<u{max(1, (1 << n) // 8)}")
-    offsets = (space.weights @ members).astype(np.int32)
-    radices = np.array(space.radices, dtype=np.int32)
+    offsets = space.weights @ members
+    radices = np.array(space.radices, dtype=space.weights.dtype)
     step = max(1, _CHUNK_CELLS >> n)
     packed = []
     for at in range(0, len(keys), step):

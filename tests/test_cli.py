@@ -305,6 +305,21 @@ def test_usage_errors_exit_one(capsys):
     assert code == 1 and out == "" and "N >= 2" in err
 
 
+def test_out_of_range_numbers_exit_one(capsys):
+    for argv, message in (
+        (["profile", _fixture("maximal2"), "--kmax", "0"], "--kmax: must be a positive integer"),
+        (
+            ["scan", "--vars", "3", "--gens", "4", "--max-exp", "1", "--count", "-1"],
+            "--count: must be a non-negative integer",
+        ),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+
+
 def test_root_finding_failure_exits_two(capsys, monkeypatch):
     # The CLI has no iteration option; a one-sweep limit makes the locus fail.
     monkeypatch.setattr(spectra, "DEFAULT_MAX_ITER", 1)

@@ -53,6 +53,29 @@ def test_parse_zero_exponent_rejected():
     assert err.value.position > 0
 
 
+@pytest.mark.parametrize(
+    "text, message, position",
+    [
+        ("gens: x", "input must start with 'vars:'", 0),
+        ("vars: x y x; gens: x", "duplicate variable 'x'", 10),
+        ("vars: 1; gens: x", "invalid variable name '1'", 6),
+        ("vars: ; gens: x", "no variables declared", 6),
+        ("vars: x; x", "expected 'gens:' after the variable list", 9),
+        ("vars: x y", "expected ';', found ''", 9),
+        ("vars: x; gens: x y", "unexpected trailing token 'y'", 17),
+    ],
+    ids=["no-vars", "duplicate", "invalid-name", "no-variables", "no-gens", "no-semicolon",
+         "trailing-token"],
+)
+def test_parse_errors_name_the_offending_token(text, message, position):
+    # Each position is the offset of the token the message names, or the
+    # end of the text when the input stops early.
+    with pytest.raises(IdealSyntaxError) as err:
+        parse_ideal(text)
+    assert str(err.value) == f"{message} (at offset {position})"
+    assert err.value.position == position
+
+
 def test_parse_unknown_variable():
     with pytest.raises(IdealSyntaxError):
         parse_ideal("vars: x; gens: x*z")

@@ -247,6 +247,13 @@ def _alarm(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
+def _three_in_sixty_three():
+    # 3 generators in 63 variables: faces of 31 and 32 vertices, and radices
+    # 3, 3 and 61 twos, whose product 9 * 2^61 passes 2^63.
+    wide = [(1,) * 31 + (0,) * 32, (0,) * 31 + (1,) * 32, (2,) + (0,) * 30 + (2,) + (0,) * 31]
+    return MonomialIdeal.from_generators([f"x{i}" for i in range(63)], wide)
+
+
 def test_large_faces_take_the_nerve_time_alarms():
     # Regression alarms, not benchmarks.  Listing the 2^|F| faces below each
     # maximal face F, betti_totals of these 5-generator draws took 0.06, 0.33
@@ -262,8 +269,7 @@ def test_large_faces_take_the_nerve_time_alarms():
         with _alarm(2.0):
             totals = betti_totals(ideal, fields)
         assert totals == taylor_betti(ideal, fields), n
-    wide = [(1,) * 31 + (0,) * 32, (0,) * 31 + (1,) * 32, (2,) + (0,) * 30 + (2,) + (0,) * 31]
-    ideal = MonomialIdeal.from_generators([f"x{i}" for i in range(63)], wide)
+    ideal = _three_in_sixty_three()
     for field in fields:
         with _alarm(2.0):
             table = betti_table(ideal, field)
@@ -305,7 +311,7 @@ def test_mask_route_joins_few_generators_time_alarm(monkeypatch):
     # betti_totals 0.10-0.13 s on a 2-CPU host; the joins take about 1 ms.
     ideal = _five_in_twelve()
     space = resolution_engine._KeySpace(ideal.generators)
-    assert space.dense and space.size == 14_745_600
+    assert space.size == 14_745_600 <= resolution_engine.GRID_CAP
     closures = _count_closures(monkeypatch)
     fields = [RATIONALS, GF2]
     start = time.perf_counter()
@@ -338,7 +344,7 @@ def test_mask_route_closures_agree_with_the_rule_forced_either_way():
     picks = {(small, pick): 0 for small in (True, False) for pick in ("joins", "grid")}
     for ideal in [_five_in_twelve(), *ideals]:
         space = resolution_engine._KeySpace(ideal.generators)
-        assert space.dense
+        assert space.size <= resolution_engine.GRID_CAP
         keys, table = resolution_engine._closure(space)
         assert np.array_equal(keys, resolution_engine._grid_table(space)[0])
         assert np.array_equal(keys, resolution_engine._join_closure(space))
@@ -375,8 +381,9 @@ def _rows(lattice):
 
 
 def _grid_when_dense(space):
-    # The closure forced to the grid table wherever the key space is dense.
-    if space.dense:
+    # The closure forced to the grid table wherever the key space is dense:
+    # at most GRID_CAP keys.
+    if space.size <= resolution_engine.GRID_CAP:
         return resolution_engine._grid_table(space)
     return resolution_engine._join_closure(space), None
 
@@ -413,7 +420,7 @@ def _lattice_or_error(lattice, ideal, cap):
 def _dense(ideal):
     # Whether the key space is dense under the current grid bound, so the
     # lattice can come from the grid table rather than from sorted runs.
-    return resolution_engine._KeySpace(ideal.generators).dense
+    return resolution_engine._KeySpace(ideal.generators).size <= resolution_engine.GRID_CAP
 
 
 def _assert_lattice_matches_reference(ideal):
@@ -512,7 +519,7 @@ def test_grid_table_on_radix_one_axes_and_wide_cells():
                      (20, np.uint32)):
         ideal = _squarefree(n, 5)
         space = resolution_engine._KeySpace(ideal.generators)
-        assert space.radices == [2] * n and space.dense
+        assert space.radices == [2] * n and space.size <= resolution_engine.GRID_CAP
         keys, table = resolution_engine._grid_table(space)
         assert table.dtype == dtype and len(table) == 2**n + 1 and table[-1] == 0
         assert _rows(space.decode(keys)) == lcm_lattice_reference(ideal)
@@ -529,6 +536,24 @@ def test_grid_table_on_radix_one_axes_and_wide_cells():
 def _wide_keys(ideal):
     radices = [len(set(column)) for column in zip(*ideal.generators)]
     return math.prod(radices) >= 2**63
+
+
+def test_keys_are_int64_below_2_63_and_python_ints_past_it():
+    # One key width on both closures: the generators' keys, the grid table's
+    # keys and the join closure's are int64 while the radix product is below
+    # 2^63, however small the space, and exact Python ints past it.
+    space = resolution_engine._KeySpace(fixture_ideal("mixed6").generators)
+    assert space.size <= resolution_engine.GRID_CAP
+    assert space.generator_keys.dtype == np.int64
+    assert resolution_engine._grid_table(space)[0].dtype == np.int64
+    assert resolution_engine._join_closure(space).dtype == np.int64
+    ideal = _three_in_sixty_three()
+    space = resolution_engine._KeySpace(ideal.generators)
+    assert space.size >= 2**63
+    assert space.generator_keys.dtype == object
+    keys = resolution_engine._join_closure(space)
+    assert keys.dtype == object
+    assert _rows(space.decode(keys)) == lcm_lattice_reference(ideal)
 
 
 def test_lcm_lattice_wide_keys_match_the_reference():

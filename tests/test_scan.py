@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import io
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ import pytest
 from bettipowers import asymptotics, scan
 from bettipowers.asymptotics import (
     KodiyalamProfile,
+    ProfileInvariantError,
     betti_series,
     kodiyalam_profile,
 )
@@ -154,6 +156,35 @@ def test_engine_faults_become_findings_and_limits_get_their_own_status(monkeypat
     assert record.profile["status"] == "resource-limit"
     assert "cap of 3" in record.profile["error"]
     assert record.findings == []
+
+
+def test_profile_invariant_errors_become_records_and_findings(monkeypatch):
+    # A violated profile invariant is recorded in place, with a replayable
+    # finding, and run_scan yields the record, then write_jsonl writes it
+    # before its finding.
+    params = ScanParameters(nvars=3, ngens=4, max_exp=1, count=1, seed=1)
+    message = "apd = 1 < ell = 2, against Brodmann's bound"
+
+    def broken(series, guard):
+        raise ProfileInvariantError(message)
+
+    monkeypatch.setattr(scan, "kodiyalam_profile", broken)
+    record = scan_record(params, 0)
+    assert record.profile == {"status": "invariant-error", "message": message}
+    assert record.verdicts == {}
+    generators = [list(g) for g in record.generators]
+    assert record.findings == [{
+        "type": "finding", "kind": "invariant-violation", "index": 0, "seed": 1,
+        "generators": generators, "message": message,
+    }]
+    replayed = MonomialIdeal.from_generators(VARS3, record.findings[0]["generators"])
+    assert replayed.generators == scan._record_ideal(params, 0).generators
+    [scanned] = run_scan(params)
+    assert scanned.profile == record.profile and scanned.findings == record.findings
+    lines = [json.loads(line) for line in _jsonl([scanned])]
+    assert [line["type"] for line in lines] == ["record", "finding"]
+    assert lines[0]["profile"]["status"] == "invariant-error"
+    assert lines[1]["kind"] == "invariant-violation"
 
 
 def test_unexpected_engine_errors_propagate(monkeypatch):
